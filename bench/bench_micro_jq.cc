@@ -65,12 +65,21 @@ void BM_EstimateJqHighResolution(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
   BucketJqOptions options;
-  options.num_buckets = 200 * n;
+  options.num_buckets = static_cast<int>(state.range(1));
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateJq(jury, 0.5, options).value());
   }
 }
-BENCHMARK(BM_EstimateJqHighResolution)->Arg(10)->Arg(25)->Arg(50);
+// 200·n buckets, then OPTJS's reporting resolution 200·(n+1) (core/optjs.cc
+// TightJq) at the jury sizes cold OPTJS requests buy from a 120-worker pool.
+BENCHMARK(BM_EstimateJqHighResolution)
+    ->ArgNames({"n", "buckets"})
+    ->Args({10, 2000})
+    ->Args({25, 5000})
+    ->Args({50, 10000})
+    ->Args({35, 7200})
+    ->Args({70, 14200})
+    ->Args({105, 21200});
 
 void BM_MajorityJqDp(benchmark::State& state) {
   const Jury jury = MakeJury(static_cast<int>(state.range(0)));

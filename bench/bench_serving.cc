@@ -29,6 +29,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -81,8 +82,15 @@ class HttpClient {
                      sizeof(addr)) == 0;
   }
 
-  /// POSTs `body` to /solve and returns the response body ("" on error).
-  std::string Solve(const std::string& body) {
+  /// A reply: the status line's code (0 when the round trip failed) and
+  /// the body.
+  struct Reply {
+    int status = 0;
+    std::string body;
+  };
+
+  /// POSTs `body` to /solve and reads the whole reply.
+  Reply Solve(const std::string& body) {
     std::string request = "POST /solve HTTP/1.1\r\nHost: bench\r\n";
     request += "Content-Length: " + std::to_string(body.size());
     request += "\r\n\r\n";
@@ -91,7 +99,7 @@ class HttpClient {
     while (sent < request.size()) {
       const ssize_t n = ::send(fd_, request.data() + sent,
                                request.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) return "";
+      if (n <= 0) return {};
       sent += static_cast<std::size_t>(n);
     }
     // Read headers, then Content-Length body bytes.
@@ -100,7 +108,7 @@ class HttpClient {
     char chunk[8192];
     while (header_end == std::string::npos) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
+      if (n <= 0) return {};
       response.append(chunk, static_cast<std::size_t>(n));
       header_end = response.find("\r\n\r\n");
     }
@@ -109,15 +117,19 @@ class HttpClient {
     {
       // Case-exact match is fine: we only talk to jury_serve.
       const std::size_t pos = response.find("Content-Length: ");
-      if (pos == std::string::npos || pos > header_end) return "";
+      if (pos == std::string::npos || pos > header_end) return {};
       content_length = std::strtoull(response.c_str() + pos + 16, nullptr, 10);
     }
     while (response.size() - body_start < content_length) {
       const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return "";
+      if (n <= 0) return {};
       response.append(chunk, static_cast<std::size_t>(n));
     }
-    return response.substr(body_start, content_length);
+    // "HTTP/1.1 200 OK": the code follows the first space.
+    const std::size_t code = response.find(' ');
+    if (code == std::string::npos || code > header_end) return {};
+    return {std::atoi(response.c_str() + code + 1),
+            response.substr(body_start, content_length)};
   }
 
  private:
@@ -157,13 +169,15 @@ PhaseResult RunPhase(const std::string& host, int port,
         if (i >= total) break;
         const std::string& body = bodies[i % bodies.size()];
         const double sent = NowSeconds();
-        const std::string response = client.Solve(body);
+        const HttpClient::Reply reply = client.Solve(body);
         const double elapsed_ms = (NowSeconds() - sent) * 1e3;
         local.requests += 1;
         local.latencies_ms.push_back(elapsed_ms);
-        if (response.empty() || response.find("\"error\"") == 0) {
+        // Shed (503), timed-out (504) and rejected (400) requests are
+        // errors: anything but a 200 status line.
+        if (reply.status != 200) {
           local.errors += 1;
-        } else if (response.find("\"cache_hit\":1") != std::string::npos) {
+        } else if (reply.body.find("\"cache_hit\":1") != std::string::npos) {
           local.cache_hits += 1;
         }
       }
@@ -181,13 +195,13 @@ PhaseResult RunPhase(const std::string& host, int port,
   return merged;
 }
 
+/// Nearest-rank percentile: the ceil(q * n)-th smallest sample.
 double Percentile(std::vector<double>* values, double q) {
   if (values->empty()) return 0.0;
   std::sort(values->begin(), values->end());
-  const std::size_t index = std::min(
-      values->size() - 1,
-      static_cast<std::size_t>(q * static_cast<double>(values->size())));
-  return (*values)[index];
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(values->size())));
+  return (*values)[std::clamp<std::size_t>(rank, 1, values->size()) - 1];
 }
 
 }  // namespace

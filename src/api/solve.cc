@@ -46,6 +46,10 @@ StatsRegistry::Counter& g_solves_deadline_exceeded =
 StatsRegistry::Counter& g_solves_cancelled =
     RegisterStatsCounter("api.solves_cancelled");
 StatsRegistry::Counter& g_retries = RegisterStatsCounter("api.retries");
+// Registered here too: a Release build compiles every fault site out, and
+// without a reference the static library would drop the counter's TU.
+[[maybe_unused]] StatsRegistry::Counter& g_faults_injected =
+    FaultsInjectedCounter();
 
 /// Sleeps out the policy's backoff before retry `retry_number` (1-based).
 /// The jitter stream is derived from (rng_seed, retry number), never from

@@ -16,6 +16,12 @@ namespace {
 /// paper's numBuckets = 50); the *reported* quality should not. A failing
 /// re-estimate (a key-map cap under an adversarial bucket count) is a
 /// `Status` the caller propagates — never an abort mid-solve.
+///
+/// This is the cold solve's dominant cost. The dense DP visits, per
+/// worker, only the live key window (keys within ± the not-yet-folded
+/// bucket sum, one parity), so the cost is the sum over iterations of
+/// that window rather than n·(2·span+1), with span = sum of buckets
+/// ~ 200·(n+1)·n·(mean phi / max phi).
 Result<double> TightJq(const JspInstance& instance,
                        const JspSolution& solution,
                        const BucketJqOptions& base) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -64,53 +65,91 @@ class JqAccumulator {
   double jq_ = 0.0;
 };
 
+std::size_t CountPositive(const double* probs, std::int64_t count) {
+  std::size_t positive = 0;
+  for (std::int64_t j = 0; j < count; ++j) positive += probs[j] > 0.0;
+  return positive;
+}
+
+/// One Algorithm-1 step over the live window: `out[j]` is the probability
+/// at the j-th key of the next window, `src[j - b] * q` (the key moved up
+/// by b, v_i = 0) plus `src[j] * (1 - q)` (moved down, v_i = 1), where
+/// `src` holds the `live` same-parity keys that survived pruning. Terms
+/// whose source lies outside `src` are left out. Each entry is the sum a
+/// scatter `nxt[key ± b] += ...` into a zeroed array builds in ascending
+/// key order, since (0 + up) + down == up + down bit for bit.
+void ConvolveWindow(const double* __restrict src, std::int64_t live,
+                    std::int64_t b, double q, double* __restrict out) {
+  const double down = 1.0 - q;
+  const std::int64_t lower = std::min(b, live);
+  const std::int64_t upper = std::max(b, live);
+  for (std::int64_t j = 0; j < lower; ++j) out[j] = src[j] * down;
+  for (std::int64_t j = b; j < live; ++j) {
+    out[j] = src[j - b] * q + src[j] * down;
+  }
+  for (std::int64_t j = live; j < b; ++j) out[j] = 0.0;
+  for (std::int64_t j = upper; j < live + b; ++j) out[j] = src[j - b] * q;
+}
+
 /// One Algorithm-1 pass over the dense (flat array) key representation.
+///
+/// Every key reachable after folding workers 0..i-1 has the parity of
+/// their bucket sum, so the state stores one parity only: `cur[j]` is the
+/// probability at key `lo + 2j` for j < `len`. Each iteration splits that
+/// window into three ascending runs: keys below -aggregate[i] and above
+/// +aggregate[i] are settled by Algorithm 2 (the positive ones go to the
+/// accumulator in ascending key order), and the live keys between are
+/// convolved into a window `b` slots longer. The cost is the sum over
+/// iterations of the window length, at most min(prefix, suffix) bucket
+/// sum + 1 per step, instead of n sweeps over all 2·span+1 keys; the
+/// result, `keys_expanded` and `keys_pruned` are bit for bit those of the
+/// full-array sweep.
 double RunDense(const std::vector<BucketedWorker>& ws,
                 const std::vector<std::int64_t>& aggregate, bool pruning,
                 BucketJqStats* stats) {
-  std::int64_t span = 0;
-  for (const auto& w : ws) span += w.bucket;
-  const std::size_t size = static_cast<std::size_t>(2 * span + 1);
-  const std::int64_t offset = span;
-
-  std::vector<double> cur(size, 0.0);
-  std::vector<double> nxt(size, 0.0);
-  cur[static_cast<std::size_t>(offset)] = 1.0;
+  // A window holds at most span + 1 keys of one parity (span = the sum of
+  // all buckets). The buffers stay uninitialised: each step writes its
+  // whole output window, and only the current window is ever read.
+  const auto size = static_cast<std::size_t>(aggregate.front() + 1);
+  auto cur = std::make_unique_for_overwrite<double[]>(size);
+  auto nxt = std::make_unique_for_overwrite<double[]>(size);
+  cur[0] = 1.0;
+  std::int64_t lo = 0;   // key of cur[0]
+  std::int64_t len = 1;  // window length
 
   JqAccumulator acc;
   for (std::size_t i = 0; i < ws.size(); ++i) {
-    std::fill(nxt.begin(), nxt.end(), 0.0);
     const std::int64_t b = ws[i].bucket;
-    const double q = ws[i].quality;
-    const std::int64_t remaining = aggregate[i];
-    for (std::size_t idx = 0; idx < size; ++idx) {
-      const double prob = cur[idx];
-      if (prob <= 0.0) continue;
-      const std::int64_t key = static_cast<std::int64_t>(idx) - offset;
-      if (stats != nullptr) ++stats->keys_expanded;
-      if (pruning) {
-        // Algorithm 2: the sign of the key can no longer change.
-        if (key > 0 && key - remaining > 0) {
-          acc.AddSettledPositive(prob);
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
-        }
-        if (key < 0 && key + remaining < 0) {
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
-        }
-      }
-      nxt[static_cast<std::size_t>(key + b + offset)] += prob * q;  // v_i = 0
-      nxt[static_cast<std::size_t>(key - b + offset)] +=
-          prob * (1.0 - q);  // v_i = 1
+    // Live slots [first, last): keys within ±aggregate[i]. Arithmetic
+    // shifts are floor division by 2, so `first` is the slot of the
+    // smallest key >= -aggregate[i] and `last` one past the largest key
+    // <= +aggregate[i].
+    std::int64_t first = 0;
+    std::int64_t last = len;
+    if (pruning) {
+      const std::int64_t remaining = aggregate[i];
+      first = std::clamp<std::int64_t>((-remaining - lo + 1) >> 1, 0, len);
+      last = std::clamp<std::int64_t>(((remaining - lo) >> 1) + 1, first, len);
     }
+    if (stats != nullptr) {
+      stats->keys_expanded += CountPositive(cur.get(), len);
+      stats->keys_pruned += CountPositive(cur.get(), first) +
+                            CountPositive(cur.get() + last, len - last);
+    }
+    // Algorithm 2: the sign of these keys can no longer change.
+    for (std::int64_t j = last; j < len; ++j) acc.AddSettledPositive(cur[j]);
+
+    const std::int64_t live = last - first;
+    if (live == 0) {
+      len = 0;
+      break;
+    }
+    ConvolveWindow(cur.get() + first, live, b, ws[i].quality, nxt.get());
+    lo += 2 * first - b;
+    len = live + b;
     cur.swap(nxt);
   }
-  for (std::size_t idx = 0; idx < size; ++idx) {
-    if (cur[idx] > 0.0) {
-      acc.AddFinal(static_cast<std::int64_t>(idx) - offset, cur[idx]);
-    }
-  }
+  for (std::int64_t j = 0; j < len; ++j) acc.AddFinal(lo + 2 * j, cur[j]);
   return acc.value();
 }
 

@@ -5,10 +5,18 @@
 #include "util/stats_registry.h"
 
 namespace jury {
+
+StatsRegistry::Counter& FaultsInjectedCounter() {
+  // Function-local, so a caller's static initializer in another TU cannot
+  // see it before it is registered.
+  static StatsRegistry::Counter& counter =
+      RegisterStatsCounter("fault.injected");
+  return counter;
+}
+
 namespace {
 
-StatsRegistry::Counter& g_faults_injected =
-    RegisterStatsCounter("fault.injected");
+StatsRegistry::Counter& g_faults_injected = FaultsInjectedCounter();
 
 }  // namespace
 

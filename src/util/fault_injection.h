@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "util/stats_registry.h"
+
 namespace jury {
 
 /// \brief Thrown by an armed `JURY_FAULT_POINT` — stands in for the
@@ -100,6 +102,11 @@ class FaultInjector {
   mutable std::mutex mutex_;
   std::vector<FaultSite*> sites_;  // leaked on purpose: process lifetime
 };
+
+/// The `fault.injected` counter. Binaries whose only references to this
+/// file would be `JURY_FAULT_POINT` sites (none in Release) call it at
+/// static init, so the counter is in the stats schema of every build.
+StatsRegistry::Counter& FaultsInjectedCounter();
 
 }  // namespace jury
 

@@ -1,4 +1,8 @@
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "jq/bucket.h"
@@ -6,8 +10,11 @@
 #include "jq/exact.h"
 #include "jq/monte_carlo.h"
 #include "jq/prior_transform.h"
+#include "model/jury.h"
+#include "model/worker.h"
 #include "strategy/registry.h"
 #include "test_util.h"
+#include "util/math.h"
 #include "util/rng.h"
 
 namespace jury {
@@ -146,6 +153,169 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, BucketEquivalenceTest,
     ::testing::Combine(::testing::Values(1, 2, 4, 7, 11, 15),
                        ::testing::Values(1, 2, 3)));
+
+// ------------------------------------ Dense backend vs full-array sweep
+
+struct ReferenceRun {
+  double jq = 0.0;
+  BucketJqStats stats;
+  /// Pruning settled every key before the last worker was folded in.
+  bool settled_early = false;
+};
+
+/// The dense Algorithm-1 pass as a plain full-array sweep: every
+/// iteration clears and visits all 2·span+1 keys, in ascending order. The
+/// oracle `EstimateJq`'s windowed pass must match bit for bit. Mirrors
+/// `EstimateJq`'s preprocessing except the §4.4 high-quality shortcut,
+/// which the callers keep from firing.
+ReferenceRun FullSweepReference(const Jury& jury, double alpha,
+                                const BucketJqOptions& options) {
+  ReferenceRun run;
+  const std::vector<double> qs =
+      Normalize(ApplyPrior(jury, alpha)).jury.qualities();
+  std::vector<double> phis(qs.size());
+  double upper = 0.0;
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    phis[i] = LogOdds(EffectiveQuality(qs[i]));
+    upper = std::max(upper, phis[i]);
+  }
+  if (upper <= 0.0) {
+    run.jq = 0.5;
+    return run;
+  }
+  const double delta = upper / static_cast<double>(options.num_buckets);
+  run.stats.delta = delta;
+  run.stats.error_bound = BucketErrorBound(static_cast<int>(qs.size()), delta);
+
+  struct Bucketed {
+    std::int64_t bucket;
+    double quality;
+  };
+  std::vector<Bucketed> ws(qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ws[i] = {static_cast<std::int64_t>(std::ceil(phis[i] / delta - 0.5)),
+             qs[i]};
+  }
+  std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
+    return a.bucket > b.bucket;
+  });
+  std::vector<std::int64_t> aggregate(ws.size(), 0);
+  std::int64_t span = 0;
+  for (std::size_t i = ws.size(); i > 0; --i) {
+    span += ws[i - 1].bucket;
+    aggregate[i - 1] = span;
+  }
+
+  const auto size = static_cast<std::size_t>(2 * span + 1);
+  std::vector<double> cur(size, 0.0);
+  std::vector<double> nxt(size, 0.0);
+  cur[static_cast<std::size_t>(span)] = 1.0;
+  double jq = 0.0;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    std::fill(nxt.begin(), nxt.end(), 0.0);
+    const std::int64_t b = ws[i].bucket;
+    const double q = ws[i].quality;
+    bool any_live = false;
+    for (std::size_t idx = 0; idx < size; ++idx) {
+      const double prob = cur[idx];
+      if (prob <= 0.0) continue;
+      const std::int64_t key = static_cast<std::int64_t>(idx) - span;
+      ++run.stats.keys_expanded;
+      if (options.enable_pruning) {
+        if (key > 0 && key - aggregate[i] > 0) {
+          jq += prob;
+          ++run.stats.keys_pruned;
+          continue;
+        }
+        if (key < 0 && key + aggregate[i] < 0) {
+          ++run.stats.keys_pruned;
+          continue;
+        }
+      }
+      any_live = true;
+      nxt[static_cast<std::size_t>(key + b + span)] += prob * q;
+      nxt[static_cast<std::size_t>(key - b + span)] += prob * (1.0 - q);
+    }
+    if (!any_live && i + 1 < ws.size()) run.settled_early = true;
+    cur.swap(nxt);
+  }
+  for (std::size_t idx = 0; idx < size; ++idx) {
+    if (cur[idx] <= 0.0) continue;
+    const std::int64_t key = static_cast<std::int64_t>(idx) - span;
+    if (key > 0) {
+      jq += cur[idx];
+    } else if (key == 0) {
+      jq += 0.5 * cur[idx];
+    }
+  }
+  run.jq = std::min(jq, 1.0);
+  return run;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/// Random qualities on both sides of 0.5 (normalization flips the low
+/// ones), with quality-0.5 workers (bucket 0) mixed in, or one strong
+/// worker among weak ones so that pruning settles every key after it.
+Jury BitIdentityJury(Rng* rng, int n, int shape) {
+  std::vector<double> qs;
+  for (int i = 0; i < n; ++i) {
+    if (shape == 1 && i % 3 != 2) {
+      qs.push_back(0.5);
+    } else if (shape == 2) {
+      qs.push_back(i == 0 ? 0.98 : rng->Uniform(0.5, 0.53));
+    } else {
+      qs.push_back(rng->Uniform(0.03, 0.97));
+    }
+  }
+  return Jury::FromQualities(qs);
+}
+
+TEST(BucketJqBitIdentityTest, DenseMatchesFullArraySweep) {
+  int cases = 0;
+  int settled_early = 0;
+  int all_half = 0;
+  for (int n = 1; n <= 80; ++n) {
+    for (double alpha : {0.3, 0.5, 0.7}) {
+      const int shape = n % 3;
+      Rng rng(static_cast<std::uint64_t>(n) * 7001 +
+              static_cast<std::uint64_t>(alpha * 10));
+      const Jury jury = BitIdentityJury(&rng, n, shape);
+      // The 200·(n+1) resolution OPTJS reports at, on every fourth size
+      // and all small ones (the full-array oracle is O(n^3) there).
+      std::vector<int> resolutions = {50};
+      if (n <= 12 || n % 4 == 0) resolutions.push_back(200 * (n + 1));
+      for (int num_buckets : resolutions) {
+        for (bool pruning : {true, false}) {
+          BucketJqOptions options;
+          options.num_buckets = num_buckets;
+          options.enable_pruning = pruning;
+          options.backend = BucketBackend::kDense;
+          BucketJqStats stats;
+          const double jq = EstimateJq(jury, alpha, options, &stats).value();
+          const ReferenceRun want = FullSweepReference(jury, alpha, options);
+          ASSERT_FALSE(stats.high_quality_shortcut);
+          ASSERT_TRUE(SameBits(jq, want.jq))
+              << "n=" << n << " alpha=" << alpha << " buckets=" << num_buckets
+              << " pruning=" << pruning << ": " << jq << " vs " << want.jq;
+          EXPECT_EQ(stats.keys_expanded, want.stats.keys_expanded);
+          EXPECT_EQ(stats.keys_pruned, want.stats.keys_pruned);
+          EXPECT_TRUE(SameBits(stats.delta, want.stats.delta));
+          EXPECT_TRUE(SameBits(stats.error_bound, want.stats.error_bound));
+          ++cases;
+          settled_early += want.settled_early ? 1 : 0;
+          all_half += want.stats.delta == 0.0 ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GE(cases, 600);
+  // The shapes must actually reach the window's edge cases.
+  EXPECT_GE(settled_early, 20);
+  EXPECT_GE(all_half, 1);
+}
 
 TEST(BucketJqTest, ErrorShrinksWithMoreBuckets) {
   Rng rng(99);
