@@ -780,13 +780,11 @@ BENCHMARK_CAPTURE(BM_AnnealingStep, bare, false);
 BENCHMARK_CAPTURE(BM_AnnealingStep, token, true);
 
 // ---------------------------------------------------------------------------
-// Fused multi-request move scans: the SolveMany seam with and without the
-// flat-combining broker. Same requests, byte-identical reports — the rows
-// differ only in where the batched kernel passes run (each worker thread
-// inline vs coalesced drains on whichever thread holds the combiner).
+// Multi-request move scans: a SolveMany batch of scan-heavy requests on
+// 4 threads.
 // ---------------------------------------------------------------------------
 
-void SolveManyMoveScans(benchmark::State& state, bool fused) {
+void BM_SolveManyMoveScans(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng pool_rng(59);
   std::vector<Worker> pool;
@@ -798,7 +796,7 @@ void SolveManyMoveScans(benchmark::State& state, bool fused) {
   }
   auto context = api::PoolPlanContext::Plan(std::move(pool)).value();
   // Scan-heavy requests (annealing polish + the greedy round scans), all
-  // runnable concurrently so the broker actually sees overlapping passes.
+  // runnable concurrently.
   std::vector<api::SolveRequest> requests;
   for (std::size_t i = 0; i < 8; ++i) {
     api::SolveRequest request;
@@ -809,7 +807,6 @@ void SolveManyMoveScans(benchmark::State& state, bool fused) {
   }
   api::SolveManyOptions options;
   options.num_threads = 4;
-  options.fuse_move_scans = fused;
   for (auto _ : state) {
     auto reports = context.SolveMany(requests, options);
     if (!reports.ok()) {
@@ -821,16 +818,7 @@ void SolveManyMoveScans(benchmark::State& state, bool fused) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(requests.size()));
 }
-
-void BM_SolveManyMoveScansUnfused(benchmark::State& state) {
-  SolveManyMoveScans(state, /*fused=*/false);
-}
-BENCHMARK(BM_SolveManyMoveScansUnfused)->Arg(50)->Arg(200);
-
-void BM_SolveManyMoveScansFused(benchmark::State& state) {
-  SolveManyMoveScans(state, /*fused=*/true);
-}
-BENCHMARK(BM_SolveManyMoveScansFused)->Arg(50)->Arg(200);
+BENCHMARK(BM_SolveManyMoveScans)->Arg(50)->Arg(200);
 
 }  // namespace
 }  // namespace jury

@@ -13,6 +13,7 @@
 #include "model/prior.h"
 #include "model/worker_pool_view.h"
 #include "util/check.h"
+#include "util/fault_injection.h"
 #include "util/math.h"
 #include "util/poisson_binomial.h"
 #include "util/scratch_arena.h"
@@ -25,6 +26,13 @@ namespace {
 /// columnar `WorkerPoolView`, whose `norm_quality()` column precomputes
 /// exactly this value (see model/worker.h).
 double NormalizeQuality(double q) { return NormalizedQuality(q); }
+
+/// Called by every batched move-scan session right before it runs its
+/// batch kernel, so the kernel flush has one fault site. It stands in for
+/// a kernel flush failing (a device error in an offloaded build). It
+/// throws before the kernel runs: staged state is untouched, so
+/// `Rollback()` restores the session.
+void BeginKernelFlush() { JURY_FAULT_POINT("eval.kernel_flush"); }
 
 // ---------------------------------------------------------------------------
 // Full-recompute session: the `--no-incremental` reference path. Scores every
@@ -186,31 +194,13 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.zeros_t0_.EvaluateRemoveBatch(e.batch_q0_.data(), c->count,
-                                          c->zeros_needed, -1,
-                                          e.batch_tail_.data(), nullptr);
-          e.zeros_t1_.EvaluateRemoveBatch(e.batch_q1_.data(), c->count, 0,
-                                          c->zeros_needed - 1, nullptr,
-                                          e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
-    CountIncrementalEvaluations(count);
+    BeginKernelFlush();
+    zeros_t0_.EvaluateRemoveBatch(batch_q0_.data(), count, zeros_needed, -1,
+                                  batch_tail_.data(), nullptr);
+    zeros_t1_.EvaluateRemoveBatch(batch_q1_.data(), count, 0,
+                                  zeros_needed - 1, nullptr,
+                                  batch_cdf_.data());
+    BlendScores(count, scores);
   }
 
   /// Batched swap scan: the outgoing member's trial is deconvolved once
@@ -240,69 +230,38 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
       batch_q0_[j] = q;
       batch_q1_[j] = 1.0 - q;
     }
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.scratch_t0_.EvaluateBatch(e.batch_q0_.data(), c->count,
-                                      c->zeros_needed, 0,
-                                      e.batch_tail_.data(), nullptr);
-          e.scratch_t1_.EvaluateBatch(e.batch_q1_.data(), c->count, 0,
-                                      c->zeros_needed - 1, nullptr,
-                                      e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
-    CountIncrementalEvaluations(count);
+    BeginKernelFlush();
+    scratch_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
+                              batch_tail_.data(), nullptr);
+    scratch_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
+                              nullptr, batch_cdf_.data());
+    BlendScores(count, scores);
   }
 
  private:
   /// Shared tail of the add scans: `batch_q0_`/`batch_q1_` hold the
   /// candidate probabilities (conditioned on t = 0 / t = 1); queries both
   /// committed pmfs and blends the MV score, exactly as `ScratchScore`.
-  /// The kernel pass goes through `RunKernelPass` so a bound
-  /// `MoveScanSink` can coalesce it with other requests' scans (see
-  /// objective.h; scores are identical either way).
   void FinishAddBatch(std::size_t count, double* scores) {
     const int n_new = zeros_t0_.size() + 1;
     const int zeros_needed = n_new / 2 + 1;
     batch_tail_.resize(count);
     batch_cdf_.resize(count);
-    struct Ctx {
-      IncrementalMajorityEvaluator* self;
-      std::size_t count;
-      int zeros_needed;
-      double* scores;
-    };
-    Ctx ctx{this, count, zeros_needed, scores};
-    RunKernelPass(
-        [](void* p) {
-          auto* c = static_cast<Ctx*>(p);
-          auto& e = *c->self;
-          e.zeros_t0_.EvaluateBatch(e.batch_q0_.data(), c->count,
-                                    c->zeros_needed, 0,
-                                    e.batch_tail_.data(), nullptr);
-          e.zeros_t1_.EvaluateBatch(e.batch_q1_.data(), c->count, 0,
-                                    c->zeros_needed - 1, nullptr,
-                                    e.batch_cdf_.data());
-          const double a = e.alpha();
-          for (std::size_t j = 0; j < c->count; ++j) {
-            c->scores[j] =
-                a * e.batch_tail_[j] + (1.0 - a) * e.batch_cdf_[j];
-          }
-        },
-        &ctx);
+    BeginKernelFlush();
+    zeros_t0_.EvaluateBatch(batch_q0_.data(), count, zeros_needed, 0,
+                            batch_tail_.data(), nullptr);
+    zeros_t1_.EvaluateBatch(batch_q1_.data(), count, 0, zeros_needed - 1,
+                            nullptr, batch_cdf_.data());
+    BlendScores(count, scores);
+  }
+
+  /// Blends the batch kernels' tail/cdf outputs into the MV scores and
+  /// books the `count` scorings.
+  void BlendScores(std::size_t count, double* scores) const {
+    const double a = alpha();
+    for (std::size_t j = 0; j < count; ++j) {
+      scores[j] = a * batch_tail_[j] + (1.0 - a) * batch_cdf_[j];
+    }
     CountIncrementalEvaluations(count);
   }
 
@@ -824,34 +783,15 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
   /// Shared tail of the batched add/swap scans: runs the fused convolve
   /// kernel for the staged candidates against `dist` and books the
-  /// fast/special scorings as one bulk counter update. The kernel pass —
-  /// the staged-candidate sweep plus its result scatter — goes through
-  /// `RunKernelPass`, so a bound `MoveScanSink` can coalesce it with
-  /// passes from concurrently queued requests (see objective.h; results
-  /// are identical either way, the pass is a pure function of its staged
-  /// inputs).
+  /// fast/special scorings as one bulk counter update.
   void FlushConvolveBatch(const BucketKeyDistribution& dist, double* scores,
                           std::size_t fast_or_special) {
     if (!batch_bs_.empty()) {
-      struct Ctx {
-        IncrementalBucketBvEvaluator* self;
-        const BucketKeyDistribution* dist;
-        double* scores;
-      };
-      Ctx ctx{this, &dist, scores};
-      RunKernelPass(
-          [](void* p) {
-            auto* c = static_cast<Ctx*>(p);
-            auto& e = *c->self;
-            e.batch_out_.resize(e.batch_bs_.size());
-            c->dist->ConvolvePositiveMassBatch(
-                e.batch_bs_.data(), e.batch_qs_.data(), e.batch_bs_.size(),
-                e.batch_out_.data());
-            for (std::size_t m = 0; m < e.batch_bs_.size(); ++m) {
-              c->scores[e.batch_slot_[m]] = std::min(e.batch_out_[m], 1.0);
-            }
-          },
-          &ctx);
+      BeginKernelFlush();
+      batch_out_.resize(batch_bs_.size());
+      dist.ConvolvePositiveMassBatch(batch_bs_.data(), batch_qs_.data(),
+                                     batch_bs_.size(), batch_out_.data());
+      ScatterBatchScores(scores);
     }
     CountIncrementalEvaluations(fast_or_special);
   }
@@ -860,26 +800,20 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
   /// fused deconvolve kernel against the committed distribution.
   void FlushDeconvolveBatch(double* scores, std::size_t fast_or_special) {
     if (!batch_bs_.empty()) {
-      struct Ctx {
-        IncrementalBucketBvEvaluator* self;
-        double* scores;
-      };
-      Ctx ctx{this, scores};
-      RunKernelPass(
-          [](void* p) {
-            auto* c = static_cast<Ctx*>(p);
-            auto& e = *c->self;
-            e.batch_out_.resize(e.batch_bs_.size());
-            e.dist_.DeconvolvePositiveMassBatch(
-                e.batch_bs_.data(), e.batch_qs_.data(), e.batch_bs_.size(),
-                e.batch_out_.data());
-            for (std::size_t m = 0; m < e.batch_bs_.size(); ++m) {
-              c->scores[e.batch_slot_[m]] = std::min(e.batch_out_[m], 1.0);
-            }
-          },
-          &ctx);
+      BeginKernelFlush();
+      batch_out_.resize(batch_bs_.size());
+      dist_.DeconvolvePositiveMassBatch(batch_bs_.data(), batch_qs_.data(),
+                                        batch_bs_.size(), batch_out_.data());
+      ScatterBatchScores(scores);
     }
     CountIncrementalEvaluations(fast_or_special);
+  }
+
+  /// Writes each staged candidate's kernel output to its score slot.
+  void ScatterBatchScores(double* scores) const {
+    for (std::size_t m = 0; m < batch_bs_.size(); ++m) {
+      scores[batch_slot_[m]] = std::min(batch_out_[m], 1.0);
+    }
   }
 
   double Score(std::size_t out_idx, const Worker* in) {
@@ -1039,28 +973,12 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
 
 }  // namespace
 
-// ------------------------------------------------------------- scan sink
-
-namespace {
-thread_local MoveScanSink* t_scan_sink = nullptr;
-}  // namespace
-
-MoveScanSink* CurrentThreadScanSink() { return t_scan_sink; }
-
-ScopedThreadScanSink::ScopedThreadScanSink(MoveScanSink* sink)
-    : previous_(t_scan_sink) {
-  t_scan_sink = sink;
-}
-
-ScopedThreadScanSink::~ScopedThreadScanSink() { t_scan_sink = previous_; }
-
 // --------------------------------------------------------------- base class
 
 IncrementalJqEvaluator::IncrementalJqEvaluator(const JqObjective* objective,
                                                double alpha)
     : objective_(objective),
       alpha_(alpha),
-      scan_sink_(objective->scan_sink()),
       scratch_arena_(objective->scratch_arena() != nullptr
                          ? objective->scratch_arena()
                          : CurrentThreadScratchArena()),

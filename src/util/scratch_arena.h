@@ -112,11 +112,11 @@ class ScratchArena {
   Stats stats_;
 };
 
-/// \brief Ambient per-thread arena binding, mirroring
-/// `ScopedThreadScanSink`: the solve entry point scopes its context's
-/// arena, and every session constructed on this thread during the solve
-/// adopts from it (sessions capture the pointer, so their clones on other
-/// scheduler threads donate back to the same arena).
+/// \brief Ambient per-thread arena binding: the solve entry point scopes
+/// its context's arena, and every session constructed on this thread
+/// during the solve adopts from it (sessions capture the pointer, so
+/// their clones on other scheduler threads donate back to the same
+/// arena).
 class ScopedThreadScratchArena {
  public:
   explicit ScopedThreadScratchArena(ScratchArena* arena);

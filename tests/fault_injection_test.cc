@@ -91,7 +91,8 @@ TEST(FaultInjectionTest, SweepEverySiteCleanStatusAndFullRecovery) {
   ASSERT_FALSE(sites.empty());
   // The sites the workload must reach (others, like the scheduler's
   // spawn hook, depend on thread-pool warm-up and are swept if present).
-  for (const char* expected : {"plan.lease_instance", "eval.session_start"}) {
+  for (const char* expected :
+       {"plan.lease_instance", "eval.session_start", "eval.kernel_flush"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), expected), sites.end())
         << "site never registered: " << expected;
   }
