@@ -386,11 +386,6 @@ void SessionScan(benchmark::State& state, const JqObjective& objective,
                  bool batched) {
   const int n = static_cast<int>(state.range(0));
   const Jury jury = MakeJury(n);
-  auto session = objective.StartSession(0.5);
-  for (const Worker& w : jury.workers()) {
-    session->ScoreAdd(w);
-    session->Commit();
-  }
   Rng rng(47);
   std::vector<Worker> candidates;
   for (std::size_t j = 0; j < kScanCandidates; ++j) {
@@ -398,15 +393,21 @@ void SessionScan(benchmark::State& state, const JqObjective& objective,
         "c" + std::to_string(j),
         rng.TruncatedGaussian(0.7, 0.22360679774997896, 0.01, 0.99), 0.0);
   }
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
-  std::vector<double> scores(ptrs.size());
+  const WorkerPoolView view(candidates);
+  auto session = objective.StartSession(view, 0.5);
+  for (const Worker& w : jury.workers()) {
+    session->ScoreAdd(w);
+    session->Commit();
+  }
+  std::vector<std::size_t> ids(view.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) ids[j] = j;
+  std::vector<double> scores(ids.size());
   for (auto _ : state) {
     if (batched) {
-      session->ScoreAddBatch(ptrs.data(), ptrs.size(), scores.data());
+      session->ScoreAddBatch(ids.data(), ids.size(), scores.data());
     } else {
-      for (std::size_t j = 0; j < ptrs.size(); ++j) {
-        scores[j] = session->ScoreAdd(*ptrs[j]);
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        scores[j] = session->ScoreAdd(view.worker(ids[j]));
         session->Rollback();
       }
     }

@@ -90,10 +90,10 @@ Status UnknownKey(const std::string& path, const std::string& key) {
   return Status::InvalidArgument(path + ": unknown key " + Json::Quote(key));
 }
 
-// -- The two frontier knobs shared by every frontier-capable solver's
-// -- options (greedy family, annealing polish, branch-and-bound
-// -- ordering). Bound here so the binders stay in sync; the runtime-only
-// -- `sharded_pool` / `frontier_stats` pointers have no wire form.
+// -- The frontier knob shared by every frontier-capable solver's options
+// -- (greedy family, annealing polish, branch-and-bound ordering). Bound
+// -- here so the binders stay in sync; the runtime-only `sharded_pool` /
+// -- `frontier_stats` pointers have no wire form.
 
 Status BindFrontierKey(const Json& value, const std::string& field,
                        const std::string& key, SolverOptions* out,
@@ -101,9 +101,6 @@ Status BindFrontierKey(const Json& value, const std::string& field,
   *handled = true;
   if (key == "frontier_k") {
     return GetSizeField(value, field, &out->frontier_k);
-  }
-  if (key == "frontier_exact") {
-    return GetBoolField(value, field, &out->frontier_exact);
   }
   *handled = false;
   return Status::OK();
@@ -115,7 +112,6 @@ void FrontierToJson(const SolverOptions& options, Json* doc) {
   if (options.frontier_k != 0) {
     doc->Set("frontier_k", static_cast<std::uint64_t>(options.frontier_k));
   }
-  if (!options.frontier_exact) doc->Set("frontier_exact", false);
 }
 
 // -- Per-struct binders. Each overlays the document onto an

@@ -204,7 +204,6 @@ JspSolution PolishNeighbourhood(const JspInstance& instance,
                      options.frontier_k, &frontier_key);
   FrontierOptions frontier_options;
   frontier_options.k = options.frontier_k;
-  frontier_options.exact = options.frontier_exact;
   FrontierScanStats frontier_stats;
 
   enum class Kind { kNone, kAdd, kRemove, kSwap };

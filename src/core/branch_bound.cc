@@ -94,19 +94,17 @@ class Searcher {
   }
 
   Status Run() {
-    if (options_.use_incremental) {
-      // The session tracks the Lemma-1 "optimistic" jury: the current
-      // selection plus every still-undecided worker. At the root that is
-      // the whole pool.
-      session_ = objective_.StartSession(view_, instance_.alpha, true);
-      for (std::size_t idx : order_) {
-        session_->ScoreAdd(view_.worker(idx));
-        session_->Commit();
-        session_members_.push_back(idx);
-      }
+    // The session tracks the Lemma-1 "optimistic" jury: the current
+    // selection plus every still-undecided worker. At the root that is the
+    // whole pool.
+    session_ = objective_.StartSession(view_, instance_.alpha,
+                                       options_.use_incremental);
+    for (std::size_t idx : order_) {
+      session_->ScoreAdd(view_.worker(idx));
+      session_->Commit();
+      session_members_.push_back(idx);
     }
-    JURY_RETURN_NOT_OK(Dfs(0));
-    return Status::OK();
+    return Dfs(0);
   }
 
   JspSolution Solution() const {
@@ -121,12 +119,6 @@ class Searcher {
   const WorkGovernor& governor() const { return governor_; }
 
  private:
-  double Evaluate(const std::vector<std::size_t>& selected) const {
-    Jury jury;
-    for (std::size_t idx : selected) jury.Add(instance_.candidates[idx]);
-    return objective_.Evaluate(jury, instance_.alpha);
-  }
-
   void Offer(double jq) {
     if (jq > best_jq_ + kTieTol ||
         (jq > best_jq_ - kTieTol && cost_ < best_cost_)) {
@@ -134,18 +126,6 @@ class Searcher {
       best_cost_ = cost_;
       best_selected_ = selected_;
     }
-  }
-
-  /// In the incremental mode the session holds selection ∪ undecided
-  /// suffix at every node: at the leaf that is exactly the selection, and
-  /// at an inner node it is exactly the Lemma-1 bound jury.
-  double Bound(std::size_t depth) {
-    if (session_ != nullptr) return session_->current_jq();
-    std::vector<std::size_t> optimistic = selected_;
-    for (std::size_t d = depth; d < order_.size(); ++d) {
-      optimistic.push_back(order_[d]);
-    }
-    return Evaluate(optimistic);
   }
 
   void SessionRemove(std::size_t candidate) {
@@ -181,22 +161,17 @@ class Searcher {
       return Status::ResourceExhausted(
           "branch-and-bound node budget exceeded");
     }
+    // The session holds selection ∪ undecided suffix at every node: at the
+    // leaf that is exactly the selection.
     if (depth == order_.size()) {
-      double leaf_jq;
-      if (selected_.empty()) {
-        leaf_jq = objective_.EmptyJq(instance_.alpha);
-      } else if (session_ != nullptr) {
-        leaf_jq = session_->current_jq();  // suffix is empty here
-      } else {
-        leaf_jq = Evaluate(selected_);
-      }
-      Offer(leaf_jq);
+      Offer(selected_.empty() ? objective_.EmptyJq(instance_.alpha)
+                              : session_->current_jq());
       return Status::OK();
     }
 
-    // Lemma-1 upper bound: everything still undecided joins for free.
-    const double bound = Bound(depth);
-    if (bound < best_jq_ - kTieTol) {
+    // Lemma-1 upper bound: everything still undecided joins for free, so
+    // the bound is the session's jury.
+    if (session_->current_jq() < best_jq_ - kTieTol) {
       if (stats_ != nullptr) ++stats_->nodes_pruned_bound;
       return Status::OK();
     }
@@ -217,13 +192,10 @@ class Searcher {
     }
     // Exclude branch: the candidate leaves the bound jury — one delta
     // removal, undone on backtrack.
-    if (session_ != nullptr) {
-      SessionRemove(candidate);
-      const Status status = Dfs(depth + 1);
-      SessionReAdd(candidate);
-      return status;
-    }
-    return Dfs(depth + 1);
+    SessionRemove(candidate);
+    const Status status = Dfs(depth + 1);
+    SessionReAdd(candidate);
+    return status;
   }
 
   const JspInstance& instance_;

@@ -23,8 +23,8 @@ struct BranchBoundOptions : SolverOptions {
   /// undecided worker) in an evaluation session: excluding a worker is one
   /// delta removal, backtracking one delta re-add, and the include branch
   /// inherits the parent's bound state untouched — so each node's bound
-  /// costs O(n) instead of an O(n^2) from-scratch evaluation. Disable to
-  /// recover the original per-node evaluation.
+  /// costs O(n) instead of an O(n^2) from-scratch evaluation. False runs
+  /// the same walk on the full-recompute session, the reference path.
   bool use_incremental = true;
   /// Order candidates by their batched single-worker marginal scores (one
   /// `ScoreAddBatch` over the whole pool against the empty jury) instead

@@ -21,9 +21,8 @@ namespace {
 constexpr double kScoreTol = kScoreEquivalenceTol;
 
 /// Adds candidates in `order` while they fit. Selection does not depend on
-/// scores, so the incremental path grows a session (one O(n) delta per
-/// add) while the reference path keeps the original single final
-/// evaluation.
+/// scores, so the session only grows (one delta per add on the
+/// incremental session, one `Evaluate` per add on the reference one).
 JspSolution FillInOrder(const JspInstance& instance,
                         const WorkerPoolView& view,
                         const JqObjective& objective,
@@ -42,28 +41,16 @@ JspSolution FillInOrder(const JspInstance& instance,
     }
   }
   // The check site: one committed add is one work unit (the add's fold
-  // dominates the cost; the selection pass above is score-free). Both
-  // evaluation paths truncate after the same count, so the incremental
-  // and reference juries stay identical under `max_work_units`.
-  double jq;
+  // dominates the cost; the selection pass above is score-free).
+  auto session =
+      objective.StartSession(view, instance.alpha, options.use_incremental);
   std::size_t kept = 0;
-  if (options.use_incremental) {
-    auto session = objective.StartSession(view, instance.alpha, true);
-    for (; kept < selected.size(); ++kept) {
-      if (governor.Tick() != StopReason::kNone) break;
-      session->ScoreAdd(view.worker(selected[kept]));
-      session->Commit();
-    }
-    jq = session->current_jq();
-  } else {
-    Jury jury;
-    for (; kept < selected.size(); ++kept) {
-      if (governor.Tick() != StopReason::kNone) break;
-      jury.Add(view.worker(selected[kept]));
-    }
-    jq = jury.empty() ? objective.EmptyJq(instance.alpha)
-                      : objective.Evaluate(jury, instance.alpha);
+  for (; kept < selected.size(); ++kept) {
+    if (governor.Tick() != StopReason::kNone) break;
+    session->ScoreAdd(view.worker(selected[kept]));
+    session->Commit();
   }
+  const double jq = session->current_jq();
   selected.resize(kept);
   if (options.termination != nullptr) {
     options.termination->MergeStrand(governor.reason(), governor.work_done());
@@ -145,37 +132,25 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
 
   // The "k best-quality workers that fit" sets are nested in k, so one
   // session grows through all of them, snapshotting at odd sizes. The
-  // reference path evaluates each odd prefix from scratch, as the
-  // original solver did. The check site ticks once per candidate
-  // considered; `best` tracks the incumbent odd prefix, so a stop
-  // returns a valid anytime jury.
+  // check site ticks once per candidate considered; `best` tracks the
+  // incumbent odd prefix, so a stop returns a valid anytime jury.
   JspSolution best =
       MakeSolution(instance, {}, objective.EmptyJq(instance.alpha));
-  auto session = options.use_incremental
-                     ? objective.StartSession(view, instance.alpha, true)
-                     : nullptr;
-  Jury jury;
+  auto session =
+      objective.StartSession(view, instance.alpha, options.use_incremental);
   std::vector<std::size_t> selected;
   double cost = 0.0;
   for (std::size_t idx : order) {
     if (governor.Tick() != StopReason::kNone) break;
     const double c = view.cost()[idx];
     if (cost + c > instance.budget) continue;
-    if (session != nullptr) {
-      session->ScoreAdd(view.worker(idx));
-      session->Commit();
-    } else {
-      jury.Add(view.worker(idx));
-    }
+    session->ScoreAdd(view.worker(idx));
+    session->Commit();
     selected.push_back(idx);
     cost += c;
-    if (selected.size() % 2 == 1) {
-      const double jq = session != nullptr
-                            ? session->current_jq()
-                            : objective.Evaluate(jury, instance.alpha);
-      if (jq > best.jq + kScoreTol) {
-        best = MakeSolution(instance, selected, jq);
-      }
+    if (selected.size() % 2 == 1 &&
+        session->current_jq() > best.jq + kScoreTol) {
+      best = MakeSolution(instance, selected, session->current_jq());
     }
   }
   if (options.termination != nullptr) {
@@ -222,7 +197,6 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
                      options.frontier_k, &frontier_key);
   FrontierOptions frontier_options;
   frontier_options.k = options.frontier_k;
-  frontier_options.exact = options.frontier_exact;
   FrontierScanStats frontier_stats;
 
   // Scan machinery: each round gathers the affordable candidate indices
@@ -237,10 +211,6 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
   // the same winner as the serial scan, for any thread count and grain.
   const std::size_t threads =
       std::min(ResolveThreadCount(options.num_threads), n > 0 ? n : 1);
-  // Clone support is probed once, on the still-empty session (a copy of
-  // empty backend state — one small allocation); backends that return
-  // nullptr fall back to the single-session scan.
-  const bool parallel_scan = threads > 1 && session->Clone() != nullptr;
   // Grain feedback per *solve*, not per process: per-item cost differs by
   // orders of magnitude across backends (batched MV vs full-recompute),
   // so a shared tuner would drag every workload toward the last one's
@@ -284,7 +254,7 @@ Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
     }
     if (eligible_idx.empty()) break;  // nothing fits
     scores.resize(eligible_idx.size());
-    if (parallel_scan && eligible_idx.size() > 1) {
+    if (threads > 1 && eligible_idx.size() > 1) {
       Scheduler::Global()->ParallelForTuned(
           &scan_tuner, 0, eligible_idx.size(),
           [&](std::size_t begin, std::size_t end) {

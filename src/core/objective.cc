@@ -131,26 +131,11 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
     return std::make_unique<IncrementalMajorityEvaluator>(*this);
   }
 
-  /// Batched add scan: both conditional pmfs are queried through
+  /// Batched add scan: candidate probabilities come straight from the
+  /// view's quality column, and both conditional pmfs are queried through
   /// `PoissonBinomial::EvaluateBatch`, whose fused SoA loops replace the
   /// per-candidate scratch copy + convolution + cumulative rebuild of the
   /// scalar path while reproducing its arithmetic bit for bit.
-  void ScoreAddBatch(const Worker* const* candidates, std::size_t count,
-                     double* scores) override {
-    Rollback();
-    if (count == 0) return;
-    batch_q0_.resize(count);
-    batch_q1_.resize(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      const double q = candidates[j]->quality;
-      batch_q0_[j] = q;
-      batch_q1_[j] = 1.0 - q;
-    }
-    FinishAddBatch(count, scores);
-  }
-
-  /// Index-based add scan: candidate probabilities come straight from the
-  /// view's quality column — the gather the columnar refactor deletes.
   void ScoreAddBatch(const std::size_t* pool_indices, std::size_t count,
                      double* scores) override {
     Rollback();
@@ -239,9 +224,9 @@ class IncrementalMajorityEvaluator final : public IncrementalJqEvaluator {
   }
 
  private:
-  /// Shared tail of the add scans: `batch_q0_`/`batch_q1_` hold the
-  /// candidate probabilities (conditioned on t = 0 / t = 1); queries both
-  /// committed pmfs and blends the MV score, exactly as `ScratchScore`.
+  /// Tail of the add scan: `batch_q0_`/`batch_q1_` hold the candidate
+  /// probabilities (conditioned on t = 0 / t = 1); queries both committed
+  /// pmfs and blends the MV score, exactly as `ScratchScore`.
   void FinishAddBatch(std::size_t count, double* scores) {
     const int n_new = zeros_t0_.size() + 1;
     const int zeros_needed = n_new / 2 + 1;
@@ -558,39 +543,14 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     return std::make_unique<IncrementalBucketBvEvaluator>(*this);
   }
 
-  /// Batched add scan: candidates that stay on the committed grid are
-  /// scored through the fused `ConvolvePositiveMassBatch` kernel (one
-  /// read-only pass over the committed key distribution per candidate —
-  /// no scratch copy, no scatter); candidates that fire a special case
-  /// (§4.4 shortcut, all-0.5, grid move, span overflow, no cached state)
-  /// fall back to the scalar `ScoreAdd` path, which handles — and counts
-  /// — them exactly as before. Scores are bit-identical to the scalar
-  /// scan.
-  void ScoreAddBatch(const Worker* const* candidates, std::size_t count,
-                     double* scores) override {
-    Rollback();
-    if (count == 0) return;
-    const double committed_max = CommittedMaxQuality();
-    batch_bs_.clear();
-    batch_qs_.clear();
-    batch_slot_.clear();
-    std::size_t fast_or_special = 0;
-    for (std::size_t j = 0; j < count; ++j) {
-      const double q = NormalizeQuality(candidates[j]->quality);
-      if (!StageAddCandidate(j, q, LogOdds(EffectiveQuality(q)),
-                             committed_max, scores, &fast_or_special)) {
-        // Grid move / invalid cache / oversized span: the scalar path owns
-        // these (including their full-evaluation accounting).
-        scores[j] = ScoreAdd(*candidates[j]);
-        Rollback();
-      }
-    }
-    FlushConvolveBatch(dist_, scores, fast_or_special);
-  }
-
-  /// Index-based add scan: normalized qualities and log-odds come straight
-  /// from the view's columns — no per-candidate `Worker` gather and no
-  /// re-running of the flip/log per score.
+  /// Batched add scan: normalized qualities and log-odds come straight
+  /// from the view's columns, and candidates that stay on the committed
+  /// grid are scored through the fused `ConvolvePositiveMassBatch` kernel
+  /// (one read-only pass over the committed key distribution per candidate
+  /// — no scratch copy, no scatter). Candidates that fire a special case
+  /// (grid move, span overflow, no cached state) fall back to the scalar
+  /// `ScoreAdd` path, which handles — and counts — them exactly as before.
+  /// Scores are bit-identical to the scalar scan.
   void ScoreAddBatch(const std::size_t* pool_indices, std::size_t count,
                      double* scores) override {
     Rollback();
@@ -607,6 +567,8 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
       const std::size_t idx = pool_indices[j];
       if (!StageAddCandidate(j, norm[idx], phi[idx], committed_max, scores,
                              &fast_or_special)) {
+        // Grid move / invalid cache / oversized span: the scalar path owns
+        // these (including their full-evaluation accounting).
         scores[j] = ScoreAdd(view()->worker(idx));
         Rollback();
       }
@@ -990,17 +952,6 @@ double IncrementalJqEvaluator::ScoreAdd(const Worker& worker) {
   staged_worker_ = worker;
   staged_score_ = ComputeAdd(worker);
   return staged_score_;
-}
-
-void IncrementalJqEvaluator::ScoreAddBatch(const Worker* const* candidates,
-                                           std::size_t count,
-                                           double* scores) {
-  // Reference implementation: the scalar scan loop, so backends without a
-  // batched kernel (full-recompute, exact-BV) behave exactly as before.
-  for (std::size_t j = 0; j < count; ++j) {
-    scores[j] = ScoreAdd(*candidates[j]);
-  }
-  Rollback();
 }
 
 void IncrementalJqEvaluator::ScoreAddBatch(const std::size_t* pool_indices,

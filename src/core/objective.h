@@ -215,13 +215,10 @@ class IncrementalJqEvaluator {
   /// (bit-identical — it copies the backend's cached state, not a rebuilt
   /// equivalent), so candidates can be sharded across threads without the
   /// winner depending on which thread scored which shard. Clones report
-  /// into the owning objective's (atomic) evaluation counters. Returns
-  /// nullptr for backends without clone support, in which case callers
-  /// must fall back to the serial scan. Any staged move is not cloned;
-  /// clone before staging.
-  virtual std::unique_ptr<IncrementalJqEvaluator> Clone() const {
-    return nullptr;
-  }
+  /// into the owning objective's (atomic) evaluation counters. Every
+  /// backend implements it. Any staged move is not cloned; clone before
+  /// staging.
+  virtual std::unique_ptr<IncrementalJqEvaluator> Clone() const = 0;
 
   /// Commits "add `worker`" when its score is already known — from a
   /// previous `Score*` on this session or on a `Clone()` — without
@@ -235,27 +232,9 @@ class IncrementalJqEvaluator {
   /// JQ of members + `worker`; stages the addition.
   double ScoreAdd(const Worker& worker);
 
-  /// \brief Batched candidate scoring — the greedy-scan fast path.
-  ///
-  /// Fills `scores[j]` with the value `ScoreAdd(*candidates[j])` would
-  /// return, for every candidate, against the *committed* jury; leaves no
-  /// move staged (any previously staged move is discarded). The base
-  /// implementation loops `ScoreAdd` + `Rollback`; the MV and BV/bucket
-  /// backends override it with fused structure-of-arrays kernels
-  /// (`PoissonBinomial::EvaluateBatch`,
-  /// `BucketKeyDistribution::ConvolvePositiveMassBatch`) whose contiguous
-  /// inner loops skip the per-candidate scratch copies and virtual
-  /// dispatch of the scalar path. Each score is a pure function of
-  /// (committed jury, candidate) — never of how candidates are grouped
-  /// into batches — so sharding a scan across threads with any grain
-  /// yields the same scores, which is what keeps the parallel greedy scan
-  /// bit-deterministic in the thread count.
-  virtual void ScoreAddBatch(const Worker* const* candidates,
-                             std::size_t count, double* scores);
-
   /// \brief Unified batched move-scan API over the bound view.
   ///
-  /// The index-based triplet below is the one scan surface every solver's
+  /// These three calls are the one scan surface every solver's
   /// inner loop runs on: candidates are named by *view indices* (adds,
   /// swap-ins) or *member positions* (removes, swap-outs), and the MV and
   /// BV/bucket backends score them through fused structure-of-arrays

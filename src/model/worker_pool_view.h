@@ -17,8 +17,8 @@ namespace jury {
 /// convolutions for MV, the Algorithm-1 bucketed key DP for BV — are flat
 /// numeric loops over worker probabilities, yet the pool is stored as an
 /// array of `Worker` structs (id string + quality + cost). Before this
-/// view, every batched scan re-gathered those fields through an
-/// `const Worker* const*` indirection per candidate per round. The view
+/// view, every batched scan re-gathered those fields through a `Worker`
+/// pointer per candidate per round. The view
 /// hoists that gather to one O(n) pass per solve: contiguous `double`
 /// columns for the quality, cost, §3.3 flip-normalized quality, and
 /// log-odds `phi(q) = ln(q/(1-q))` of every candidate, plus a stable

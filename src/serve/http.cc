@@ -143,6 +143,12 @@ bool HttpParser::ParseHeaderBlock() {
       FailWith(400, "whitespace in header name");
       return false;
     }
+    // The map keeps the first of two values; a second, conflicting body
+    // length would leave bytes to be parsed as the next request.
+    if (name == "content-length" && request_.headers.count(name) > 0) {
+      FailWith(400, "repeated Content-Length");
+      return false;
+    }
     request_.headers.emplace(std::move(name),
                              std::string(TrimOws(line.substr(colon + 1))));
   }

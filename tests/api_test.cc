@@ -741,6 +741,8 @@ TEST(RequestJsonTest, StrictBindingErrors) {
                "out of range");
   expect_error(R"({"tuning":{"annealing":{"warp_speed":9}}})",
                "unknown key");
+  expect_error(R"({"tuning":{"greedy":{"frontier_exact":false}}})",
+               "unknown key");
   expect_error(R"([1,2,3])", "request must be an object");
   expect_error("not json at all", "JSON parse error");
 

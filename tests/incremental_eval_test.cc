@@ -235,7 +235,6 @@ TEST(IncrementalEvalTest, CountersSplitFullAndIncremental) {
 void BatchMatchesScalar(const JqObjective& objective, double alpha,
                         bool incremental, std::uint64_t seed) {
   Rng rng(seed);
-  auto session = objective.StartSession(alpha, incremental);
   std::vector<Worker> candidates;
   for (int j = 0; j < 24; ++j) {
     candidates.push_back(RandomWorker(&rng, j));
@@ -246,29 +245,31 @@ void BatchMatchesScalar(const JqObjective& objective, double alpha,
   candidates.push_back(Worker("gridmove", 0.949, 0.0));
   candidates.push_back(Worker("coin", 0.5, 0.0));
   candidates.push_back(Worker("flip", 0.2, 0.0));
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
+  const WorkerPoolView view(candidates);
+  auto session = objective.StartSession(view, alpha, incremental);
+  std::vector<std::size_t> ids(view.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = i;
 
   for (int committed = 0; committed < 4; ++committed) {
-    std::vector<double> scalar(ptrs.size());
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
-      scalar[j] = session->ScoreAdd(*ptrs[j]);
+    std::vector<double> scalar(ids.size());
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      scalar[j] = session->ScoreAdd(view.worker(ids[j]));
       session->Rollback();
     }
-    std::vector<double> batched(ptrs.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), ptrs.size(), batched.data());
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
+    std::vector<double> batched(ids.size(), -1.0);
+    session->ScoreAddBatch(ids.data(), ids.size(), batched.data());
+    for (std::size_t j = 0; j < ids.size(); ++j) {
       EXPECT_EQ(batched[j], scalar[j])
           << objective.name() << " committed=" << committed << " j=" << j
-          << " (" << ptrs[j]->id << ")";
+          << " (" << view.worker(ids[j]).id << ")";
     }
     // Batch-composition independence: two half-batches, same scores.
-    const std::size_t half = ptrs.size() / 2;
-    std::vector<double> split(ptrs.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), half, split.data());
-    session->ScoreAddBatch(ptrs.data() + half, ptrs.size() - half,
+    const std::size_t half = ids.size() / 2;
+    std::vector<double> split(ids.size(), -1.0);
+    session->ScoreAddBatch(ids.data(), half, split.data());
+    session->ScoreAddBatch(ids.data() + half, ids.size() - half,
                            split.data() + half);
-    for (std::size_t j = 0; j < ptrs.size(); ++j) {
+    for (std::size_t j = 0; j < ids.size(); ++j) {
       EXPECT_EQ(split[j], batched[j])
           << objective.name() << " committed=" << committed << " j=" << j;
     }
@@ -276,7 +277,7 @@ void BatchMatchesScalar(const JqObjective& objective, double alpha,
     // Grow the committed jury through the batch-scored winner, as the
     // greedy solver does, and make sure the session stays coherent.
     const std::size_t winner = static_cast<std::size_t>(committed);
-    session->CommitAdd(*ptrs[winner], batched[winner]);
+    session->CommitAdd(view.worker(winner), batched[winner]);
     EXPECT_EQ(session->current_jq(), batched[winner]);
   }
 }
@@ -354,14 +355,6 @@ void UnifiedScanMatchesScalar(const JqObjective& objective, double alpha,
                            split.data() + half);
     for (std::size_t j = 0; j < ids.size(); ++j) {
       EXPECT_EQ(split[j], batched[j]) << objective.name() << " add split";
-    }
-    // Index-based and Worker-pointer-based scans agree.
-    std::vector<const Worker*> ptrs;
-    for (std::size_t i : ids) ptrs.push_back(&view.worker(i));
-    std::vector<double> by_ptr(ids.size(), -1.0);
-    session->ScoreAddBatch(ptrs.data(), ptrs.size(), by_ptr.data());
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      EXPECT_EQ(by_ptr[j], batched[j]) << objective.name() << " ptr vs idx";
     }
 
     if (size > 0) {
@@ -473,22 +466,24 @@ TEST(IncrementalEvalTest, ScoreAddBatchOnClonesMatchesParent) {
   // scores must be bit-identical to the parent session's.
   const BucketBvObjective objective;
   Rng rng(31041);
-  auto session = objective.StartSession(0.5);
-  for (int i = 0; i < 5; ++i) {
-    session->ScoreAdd(RandomWorker(&rng, 100 + i));
+  std::vector<Worker> pool;
+  for (int i = 0; i < 5; ++i) pool.push_back(RandomWorker(&rng, 100 + i));
+  for (int j = 0; j < 16; ++j) pool.push_back(RandomWorker(&rng, j));
+  const WorkerPoolView view(pool);
+  auto session = objective.StartSession(view, 0.5);
+  for (std::size_t i = 0; i < 5; ++i) {
+    session->ScoreAdd(view.worker(i));
     session->Commit();
   }
-  std::vector<Worker> candidates;
-  for (int j = 0; j < 16; ++j) candidates.push_back(RandomWorker(&rng, j));
-  std::vector<const Worker*> ptrs;
-  for (const Worker& w : candidates) ptrs.push_back(&w);
-  std::vector<double> parent(ptrs.size());
-  session->ScoreAddBatch(ptrs.data(), ptrs.size(), parent.data());
+  std::vector<std::size_t> ids;
+  for (std::size_t i = 5; i < view.size(); ++i) ids.push_back(i);
+  std::vector<double> parent(ids.size());
+  session->ScoreAddBatch(ids.data(), ids.size(), parent.data());
   auto clone = session->Clone();
   ASSERT_NE(clone, nullptr);
-  std::vector<double> cloned(ptrs.size());
-  clone->ScoreAddBatch(ptrs.data(), ptrs.size(), cloned.data());
-  for (std::size_t j = 0; j < ptrs.size(); ++j) {
+  std::vector<double> cloned(ids.size());
+  clone->ScoreAddBatch(ids.data(), ids.size(), cloned.data());
+  for (std::size_t j = 0; j < ids.size(); ++j) {
     EXPECT_EQ(cloned[j], parent[j]) << "j=" << j;
   }
 }

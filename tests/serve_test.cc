@@ -115,6 +115,20 @@ TEST(HttpParserTest, RejectsBadContentLength) {
   EXPECT_EQ(parser.error_status(), 400);
 }
 
+TEST(HttpParserTest, RejectsRepeatedContentLength) {
+  // Keeping either value would split the stream differently from a peer
+  // that keeps the other: the rest of the bytes would parse as the next
+  // pipelined request.
+  serve::HttpParser parser;
+  parser.Feed(
+      "POST /solve HTTP/1.1\r\nContent-Length: 2\r\n"
+      "content-length: 40\r\n\r\nok"
+      "GET /healthz HTTP/1.1\r\n\r\n");
+  ASSERT_TRUE(parser.failed());
+  EXPECT_FALSE(parser.complete());
+  EXPECT_EQ(parser.error_status(), 400);
+}
+
 TEST(HttpParserTest, EnforcesHeaderLimit) {
   serve::HttpLimits limits;
   limits.max_header_bytes = 64;

@@ -435,6 +435,14 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
           SolveOddTopK(instance, *objective, g_inc).value(),
           SolveOddTopK(instance, *objective, g_full).value(), instance,
           "odd-top-k/" + objective->name(), inst);
+      ExpectSameSolution(
+          SolveGreedyByQuality(instance, *objective, g_inc).value(),
+          SolveGreedyByQuality(instance, *objective, g_full).value(),
+          instance, "greedy-quality/" + objective->name(), inst);
+      ExpectSameSolution(
+          SolveGreedyByValuePerCost(instance, *objective, g_inc).value(),
+          SolveGreedyByValuePerCost(instance, *objective, g_full).value(),
+          instance, "greedy-value/" + objective->name(), inst);
     }
   }
 }

@@ -17,6 +17,7 @@
 #include "core/objective.h"
 #include "gtest/gtest.h"
 #include "model/worker.h"
+#include "model/worker_pool_view.h"
 #include "test_util.h"
 #include "util/rng.h"
 #include "util/scratch_arena.h"
@@ -258,11 +259,12 @@ TEST(ScratchArenaTest, SessionsRecycleBatchBuffersAcrossRequests) {
   objective.BindScratchArena(&arena);
   Rng rng(7);
   const std::vector<Worker> pool = RandomPool(&rng, 24, 0.5, 0.9, 0.05, 0.5);
-  std::vector<const Worker*> candidates;
-  for (const Worker& worker : pool) candidates.push_back(&worker);
+  const WorkerPoolView view(pool);
+  std::vector<std::size_t> candidates(view.size());
+  for (std::size_t i = 0; i < candidates.size(); ++i) candidates[i] = i;
   std::vector<double> scores(pool.size());
   for (int request = 0; request < 3; ++request) {
-    auto session = objective.StartSession(0.5);
+    auto session = objective.StartSession(view, 0.5);
     session->ScoreAddBatch(candidates.data(), candidates.size(),
                            scores.data());
   }
