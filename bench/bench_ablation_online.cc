@@ -17,6 +17,7 @@
 #include "core/optjs.h"
 #include "core/sequential.h"
 #include "crowd/vote_sim.h"
+#include "model/worker_pool_view.h"
 #include "strategy/bayesian.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -37,6 +38,7 @@ void Run() {
   for (double budget : {0.3, 0.5, 0.8}) {
     Rng rng(static_cast<std::uint64_t>(budget * 1000) + 17);
     const BayesianVoting bv;
+    const BucketBvObjective objective;
     OnlineStats static_spent, online_spent, online_votes;
     int static_correct = 0;
     int online_correct = 0;
@@ -50,8 +52,10 @@ void Run() {
       instance.candidates = pool;
       instance.budget = budget;
       instance.alpha = 0.5;
+      const WorkerPoolView view(instance.candidates);
       Rng solver_rng = rng.Fork();
-      const auto solution = SolveOptjs(instance, &solver_rng).value();
+      const auto solution =
+          SolveOptjs(instance, view, objective, &solver_rng).value();
       const Jury jury = solution.ToJury(instance);
       if (!jury.empty()) {
         const Votes votes = crowd::SimulateVotes(jury, truth, &rng);

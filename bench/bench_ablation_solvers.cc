@@ -21,6 +21,8 @@
 #include "core/exhaustive.h"
 #include "core/greedy.h"
 #include "core/objective.h"
+#include "model/worker_pool_view.h"
+#include "util/check.h"
 #include "util/scheduler.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -116,11 +118,11 @@ void Run() {
 }
 
 /// PlanContext-reuse ablation: the same request stream answered by cold
-/// per-call setup (a fresh JspInstance copy + pool validation + columnar
-/// view build inside every legacy free-function call) vs a long-lived
+/// per-call setup (a fresh JspInstance copy + instance validation +
+/// columnar view build before every direct solver call) vs a long-lived
 /// `api::PoolPlanContext` (validation and view hoisted into `Plan`, the
-/// instance leased from the arena). Juries are asserted identical — the
-/// planned path is the same solver code — so only setup cost moves.
+/// instance leased from the arena). Juries are asserted identical — both
+/// paths run the same solver code — so only setup cost moves.
 int RunPlanContextReuse(bench::ThreadScalingReport* report) {
   struct Workload {
     std::string solver;
@@ -134,8 +136,8 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
   };
   bench::PrintHeader(
       "Ablation — PlanContext reuse vs cold per-call setup",
-      "Repeated requests (varying budgets) on one pool: legacy free "
-      "function per call vs one planned context; identical juries.");
+      "Repeated requests (varying budgets) on one pool: per-call setup "
+      "and solve vs one planned context; identical juries.");
 
   Table table({"solver", "N", "requests", "secs (cold)", "secs (reused)",
                "speedup", "instances created"});
@@ -151,7 +153,7 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
     }
 
     // Cold path: per-request instance copy + validation + view build,
-    // which is exactly what every legacy call site pays.
+    // which is what a caller without a plan pays on every solve.
     const BucketBvObjective objective;
     std::vector<std::vector<std::size_t>> cold_juries;
     Timer t_cold;
@@ -160,10 +162,12 @@ int RunPlanContextReuse(bench::ThreadScalingReport* report) {
       instance.candidates = pool;
       instance.budget = budgets[i];
       instance.alpha = 0.5;
+      JURY_CHECK(instance.Validate().ok());
+      const WorkerPoolView view(instance.candidates);
       const auto solution =
           workload.solver == "greedy-quality"
-              ? SolveGreedyByQuality(instance, objective).value()
-              : SolveGreedyMarginalGain(instance, objective).value();
+              ? SolveGreedyByQuality(instance, view, objective).value()
+              : SolveGreedyMarginalGain(instance, view, objective).value();
       cold_juries.push_back(solution.selected);
     }
     const double cold_secs = t_cold.ElapsedSeconds();
@@ -250,7 +254,8 @@ int RunSolveManyThroughput(bench::ThreadScalingReport* report) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                     std::size_t{4}}) {
     Timer t_batch;
-    const auto reports = context.SolveMany(requests, threads).value();
+    const auto reports =
+        context.SolveMany(requests, {.num_threads = threads}).value();
     const double secs = t_batch.ElapsedSeconds();
     bool identical = true;
     for (std::size_t i = 0; i < batch; ++i) {
@@ -302,13 +307,15 @@ void RunIncrementalAblation() {
       instance.candidates = bench::PaperPool(&pool_rng, n, 0.7);
       instance.budget = 1.0;
       instance.alpha = 0.5;
+      const WorkerPoolView view(instance.candidates);
       const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(rep);
 
       objective.ResetEvaluationCounters();
       {
         Rng sa_rng(seed);
         Timer t;
-        const auto s = SolveAnnealing(instance, objective, &sa_rng).value();
+        const auto s =
+            SolveAnnealing(instance, view, objective, &sa_rng).value();
         sa.inc_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -320,7 +327,8 @@ void RunIncrementalAblation() {
         no_inc.use_incremental = false;
         Timer t;
         const auto s =
-            SolveAnnealing(instance, objective, &sa_rng, no_inc).value();
+            SolveAnnealing(instance, view, objective, &sa_rng, no_inc)
+                .value();
         sa.full_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -328,7 +336,8 @@ void RunIncrementalAblation() {
       objective.ResetEvaluationCounters();
       {
         Timer t;
-        const auto s = SolveGreedyMarginalGain(instance, objective).value();
+        const auto s =
+            SolveGreedyMarginalGain(instance, view, objective).value();
         greedy.inc_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -339,7 +348,8 @@ void RunIncrementalAblation() {
         no_inc.use_incremental = false;
         Timer t;
         const auto s =
-            SolveGreedyMarginalGain(instance, objective, no_inc).value();
+            SolveGreedyMarginalGain(instance, view, objective, no_inc)
+                .value();
         greedy.full_time.Add(t.ElapsedSeconds());
         static_cast<void>(s);
       }
@@ -372,7 +382,10 @@ void RunIncrementalAblation() {
   instance.budget = 1.0;
   instance.alpha = 0.5;
   Rng sa_rng(99);
-  static_cast<void>(SolveAnnealing(instance, demo, &sa_rng).value());
+  static_cast<void>(
+      SolveAnnealing(instance, WorkerPoolView(instance.candidates), demo,
+                     &sa_rng)
+          .value());
   bench::PrintEvaluationCounters("annealing N=100 (BV/bucket)", demo);
 }
 
@@ -428,9 +441,16 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
     instance.candidates = bench::PaperPool(&pool_rng, kN, 0.7);
     instance.budget = 0.5;
     instance.alpha = 0.5;
-    optima.push_back(
-        SolveBranchAndBound(instance, objective).value().jq);
+    optima.push_back(SolveBranchAndBound(instance,
+                                         WorkerPoolView(instance.candidates),
+                                         objective)
+                         .value()
+                         .jq);
     instances.push_back(std::move(instance));
+  }
+  std::vector<WorkerPoolView> views;
+  for (const JspInstance& instance : instances) {
+    views.emplace_back(instance.candidates);
   }
 
   Table table({"config", "mean JQ gap", "full evals", "incr evals",
@@ -443,9 +463,9 @@ void RunBatchedNeighbourhoodAblation(bench::ThreadScalingReport* report) {
       Rng sa_rng(31000 + static_cast<std::uint64_t>(rep));
       AnnealingStats stats;
       Timer t;
-      const auto s = SolveAnnealing(instances[static_cast<std::size_t>(rep)],
-                                    objective, &sa_rng, config.options,
-                                    &stats)
+      const auto i = static_cast<std::size_t>(rep);
+      const auto s = SolveAnnealing(instances[i], views[i], objective,
+                                    &sa_rng, config.options, &stats)
                          .value();
       secs.Add(t.ElapsedSeconds());
       gap.Add(optima[static_cast<std::size_t>(rep)] - s.jq);
@@ -583,35 +603,37 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
   struct Workload {
     std::string name;
     int n;
-    std::function<JspSolution(const JspInstance&, const JqObjective&,
-                              std::uint64_t seed, std::size_t threads)>
+    std::function<JspSolution(const JspInstance&, const WorkerPoolView&,
+                              const JqObjective&, std::uint64_t seed,
+                              std::size_t threads)>
         solve;
   };
   const std::vector<Workload> workloads = {
       {"annealing x8 restarts", 200,
-       [](const JspInstance& instance, const JqObjective& objective,
-          std::uint64_t seed, std::size_t threads) {
+       [](const JspInstance& instance, const WorkerPoolView& view,
+          const JqObjective& objective, std::uint64_t seed,
+          std::size_t threads) {
          AnnealingOptions options;
          options.num_restarts = 8;
          options.num_threads = threads;
          Rng sa_rng(seed);
-         return SolveAnnealing(instance, objective, &sa_rng, options)
+         return SolveAnnealing(instance, view, objective, &sa_rng, options)
              .value();
        }},
       {"greedy marginal-gain", 200,
-       [](const JspInstance& instance, const JqObjective& objective,
-          std::uint64_t, std::size_t threads) {
+       [](const JspInstance& instance, const WorkerPoolView& view,
+          const JqObjective& objective, std::uint64_t, std::size_t threads) {
          GreedyOptions options;
          options.num_threads = threads;
-         return SolveGreedyMarginalGain(instance, objective, options)
+         return SolveGreedyMarginalGain(instance, view, objective, options)
              .value();
        }},
       {"exhaustive (Gray-code)", 20,
-       [](const JspInstance& instance, const JqObjective& objective,
-          std::uint64_t, std::size_t threads) {
+       [](const JspInstance& instance, const WorkerPoolView& view,
+          const JqObjective& objective, std::uint64_t, std::size_t threads) {
          ExhaustiveOptions options;
          options.num_threads = threads;
-         return SolveExhaustive(instance, objective, options).value();
+         return SolveExhaustive(instance, view, objective, options).value();
        }},
   };
 
@@ -626,6 +648,10 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
       instance.alpha = 0.5;
       instances.push_back(std::move(instance));
     }
+    std::vector<WorkerPoolView> views;
+    for (const JspInstance& instance : instances) {
+      views.emplace_back(instance.candidates);
+    }
     double serial_mean = 0.0;
     std::vector<JspSolution> reference;
     for (const std::size_t threads : kThreadCounts) {
@@ -633,10 +659,11 @@ int RunParallelAblation(bench::ThreadScalingReport* report) {
       OnlineStats secs;
       std::vector<JspSolution> juries;
       for (int rep = 0; rep < reps; ++rep) {
+        const auto i = static_cast<std::size_t>(rep);
         Timer t;
-        juries.push_back(workload.solve(
-            instances[static_cast<std::size_t>(rep)], objective,
-            9000 + static_cast<std::uint64_t>(rep), threads));
+        juries.push_back(workload.solve(instances[i], views[i], objective,
+                                        9000 + static_cast<std::uint64_t>(rep),
+                                        threads));
         secs.Add(t.ElapsedSeconds());
       }
       if (threads == 1) {

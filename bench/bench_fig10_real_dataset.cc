@@ -11,6 +11,7 @@
 #include "core/optjs.h"
 #include "crowd/sentiment.h"
 #include "jq/bucket.h"
+#include "model/worker_pool_view.h"
 #include "strategy/bayesian.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -50,12 +51,15 @@ Point AverageOverQuestions(
     const std::function<JspInstance(std::size_t, Rng*)>& make_instance) {
   Rng rng(seed);
   OnlineStats optjs_stats, mvjs_stats;
+  const BucketBvObjective bv;
+  const MajorityObjective mv;
   for (std::size_t q = 0; q < num_questions; ++q) {
     JspInstance instance = make_instance(q, &rng);
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_stats.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_stats.Add(SolveMvjs(instance, &r2).value().jq);
+    optjs_stats.Add(SolveOptjs(instance, view, bv, &r1).value().jq);
+    mvjs_stats.Add(SolveMvjs(instance, view, mv, &r2).value().jq);
   }
   return {optjs_stats.mean(), mvjs_stats.mean()};
 }

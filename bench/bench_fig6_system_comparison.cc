@@ -9,6 +9,7 @@
 #include "bench_util.h"
 #include "core/mvjs.h"
 #include "core/optjs.h"
+#include "model/worker_pool_view.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -24,6 +25,8 @@ Point RunPoint(std::uint64_t seed, int reps, int num_workers, double mu,
                double budget, double cost_sigma) {
   Rng rng(seed);
   OnlineStats optjs_stats, mvjs_stats;
+  const BucketBvObjective bv;
+  const MajorityObjective mv;
   for (int rep = 0; rep < reps; ++rep) {
     Rng pool_rng = rng.Fork();
     const auto pool = bench::PaperPool(&pool_rng, num_workers, mu,
@@ -32,10 +35,11 @@ Point RunPoint(std::uint64_t seed, int reps, int num_workers, double mu,
     instance.candidates = pool;
     instance.budget = budget;
     instance.alpha = 0.5;
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_stats.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_stats.Add(SolveMvjs(instance, &r2).value().jq);
+    optjs_stats.Add(SolveOptjs(instance, view, bv, &r1).value().jq);
+    mvjs_stats.Add(SolveMvjs(instance, view, mv, &r2).value().jq);
   }
   return {optjs_stats.mean(), mvjs_stats.mean()};
 }

@@ -8,6 +8,7 @@
 #include "core/annealing.h"
 #include "core/exhaustive.h"
 #include "core/objective.h"
+#include "model/worker_pool_view.h"
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -28,10 +29,11 @@ void Fig7a(int reps) {
       instance.candidates = bench::PaperPool(&pool_rng, 11, 0.7);
       instance.budget = budget;
       instance.alpha = 0.5;
-      const auto optimal = SolveExhaustive(instance, objective).value();
+      const WorkerPoolView view(instance.candidates);
+      const auto optimal = SolveExhaustive(instance, view, objective).value();
       Rng sa_rng = rng.Fork();
       const auto returned =
-          SolveAnnealing(instance, objective, &sa_rng).value();
+          SolveAnnealing(instance, view, objective, &sa_rng).value();
       optimal_stats.Add(optimal.jq);
       returned_stats.Add(returned.jq);
     }
@@ -64,8 +66,10 @@ void Fig7b(int reps) {
         instance.alpha = 0.5;
         const BucketBvObjective objective;
         Rng sa_rng = rng.Fork();
+        // The per-solve view build stays inside the timed region.
         Timer timer;
-        (void)SolveAnnealing(instance, objective, &sa_rng).value();
+        const WorkerPoolView view(instance.candidates);
+        (void)SolveAnnealing(instance, view, objective, &sa_rng).value();
         time_stats.Add(timer.ElapsedSeconds());
       }
       row.push_back(Format(time_stats.mean(), 4));

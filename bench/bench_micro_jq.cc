@@ -717,8 +717,10 @@ void BM_AnnealingSolve(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    // A whole per-call solve: the columnar view is built every iteration.
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng).value());
+        SolveAnnealing(instance, view, objective, &rng).value());
   }
 }
 BENCHMARK(BM_AnnealingSolve)->Arg(50)->Arg(100)->Arg(200);
@@ -743,8 +745,9 @@ void BM_AnnealingSolveNoIncremental(benchmark::State& state) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng, options).value());
+        SolveAnnealing(instance, view, objective, &rng, options).value());
   }
 }
 BENCHMARK(BM_AnnealingSolveNoIncremental)->Arg(50)->Arg(100)->Arg(200);
@@ -773,8 +776,9 @@ void BM_AnnealingStep(benchmark::State& state, bool with_token) {
   std::uint64_t seed = 1;
   for (auto _ : state) {
     Rng rng(seed++);
+    const WorkerPoolView view(instance.candidates);
     benchmark::DoNotOptimize(
-        SolveAnnealing(instance, objective, &rng, options).value());
+        SolveAnnealing(instance, view, objective, &rng, options).value());
   }
 }
 BENCHMARK_CAPTURE(BM_AnnealingStep, bare, false);

@@ -11,7 +11,7 @@
 
 #include <iostream>
 
-#include "core/optjs.h"
+#include "api/solve.h"
 #include "crowd/pool.h"
 #include "crowd/vote_sim.h"
 #include "strategy/bayesian.h"
@@ -47,16 +47,21 @@ int main() {
   Table table({"pair", "prior", "jury size", "spent", "predicted JQ",
                "BV answer", "truth"});
   const BayesianVoting bv;
+  // One planned pool answers every pair: only the prior changes.
+  auto context = api::PoolPlanContext::Plan(pool).value();
   for (const auto& pair : pairs) {
-    JspInstance instance;
-    instance.candidates = pool;
-    instance.budget = 0.6;
-    instance.alpha = pair.alpha;
-    Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    api::SolveRequest request;
+    request.solver = "optjs";
+    request.budget = 0.6;
+    request.alpha = pair.alpha;
+    request.rng_seed = rng.Next();
+    const JspSolution solution = context.Solve(request).value().solution;
 
     // Simulate the selected jury actually answering.
-    const Jury jury = solution.ToJury(instance);
+    Jury jury;
+    for (std::size_t idx : solution.selected) {
+      jury.Add(context.candidates()[idx]);
+    }
     int answer;
     if (jury.empty()) {
       answer = pair.alpha >= 0.5 ? 0 : 1;  // prior decides alone

@@ -9,8 +9,10 @@
 // Build & run:  ./build/examples/sentiment_campaign
 
 #include <iostream>
+#include <utility>
+#include <vector>
 
-#include "core/optjs.h"
+#include "api/solve.h"
 #include "crowd/sentiment.h"
 #include "strategy/bayesian.h"
 #include "strategy/majority.h"
@@ -39,24 +41,26 @@ int main() {
   for (std::size_t q = 0; q < num_questions; ++q) {
     const auto& task = dataset.campaign.tasks[q];
 
-    JspInstance instance;
-    instance.budget = 0.5;
-    instance.alpha = 0.5;
+    std::vector<Worker> candidates;
     for (const auto& answer : task.answers) {
-      instance.candidates.emplace_back(
-          std::to_string(answer.worker),
-          dataset.estimated_quality[answer.worker],
-          rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
+      candidates.emplace_back(std::to_string(answer.worker),
+                              dataset.estimated_quality[answer.worker],
+                              rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
-    Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    auto context = api::PoolPlanContext::Plan(std::move(candidates)).value();
+    api::SolveRequest request;
+    request.solver = "optjs";
+    request.budget = 0.5;
+    request.alpha = 0.5;
+    request.rng_seed = rng.Next();
+    const JspSolution solution = context.Solve(request).value().solution;
     total_spent += solution.cost;
 
     // Aggregate the selected jurors' actual votes with BV.
     Jury jury;
     Votes votes;
     for (std::size_t idx : solution.selected) {
-      jury.Add(instance.candidates[idx]);
+      jury.Add(context.candidates()[idx]);
       votes.push_back(static_cast<std::uint8_t>(task.answers[idx].vote));
     }
     if (!jury.empty()) {

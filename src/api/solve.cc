@@ -142,6 +142,11 @@ struct PoolState {
   /// solve — so concurrent requests contend for nanoseconds.
   std::mutex instance_mutex;
   std::vector<std::unique_ptr<JspInstance>> free_list;
+  /// Set (under `instance_mutex`) when a newer epoch is published. A
+  /// retired epoch pools nothing: its free list is dropped then, and
+  /// instances returned to it later are freed, so a retired state costs
+  /// its own tables but no per-request pool copies.
+  bool retired = false;
 };
 
 struct PoolPlanContext::Arena {
@@ -216,10 +221,6 @@ PoolPlanContext::PoolPlanContext(PoolPlanContext&&) noexcept = default;
 PoolPlanContext& PoolPlanContext::operator=(PoolPlanContext&&) noexcept =
     default;
 PoolPlanContext::~PoolPlanContext() = default;
-
-Result<PoolPlanContext> PoolPlanContext::Plan(std::vector<Worker> candidates) {
-  return Plan(std::move(candidates), PlanOptions{});
-}
 
 Result<PoolPlanContext> PoolPlanContext::Plan(std::vector<Worker> candidates,
                                               const PlanOptions& options) {
@@ -356,8 +357,16 @@ Status PoolPlanContext::ApplyPoolDelta(
     }
   }
   serve::ServeEpochBumps().Increment();
-  std::lock_guard<std::mutex> lock(arena_->state_mutex);
-  arena_->states.push_back(std::move(next));
+  {
+    std::lock_guard<std::mutex> lock(arena_->state_mutex);
+    arena_->states.push_back(std::move(next));
+  }
+  std::vector<std::unique_ptr<JspInstance>> dropped;  // freed unlocked
+  {
+    std::lock_guard<std::mutex> lock(current->instance_mutex);
+    current->retired = true;
+    dropped.swap(current->free_list);
+  }
   return Status::OK();
 }
 
@@ -392,7 +401,8 @@ PoolPlanContext::InstanceLease PoolPlanContext::AcquireInstance(double budget,
 void PoolPlanContext::ReturnInstance(PoolState* state,
                                      std::unique_ptr<JspInstance> instance) {
   std::lock_guard<std::mutex> lock(state->instance_mutex);
-  state->free_list.push_back(std::move(instance));
+  // A retired epoch's instance is freed when `instance` goes out of scope.
+  if (!state->retired) state->free_list.push_back(std::move(instance));
 }
 
 std::size_t PoolPlanContext::instances_created() const {
@@ -639,13 +649,6 @@ std::vector<SolveFuture> PoolPlanContext::SubmitMany(
     // whole queue, so the batch still completes.
   }
   return futures;
-}
-
-Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(
-    std::span<const SolveRequest> requests, std::size_t num_threads) {
-  SolveManyOptions options;
-  options.num_threads = num_threads;
-  return SolveMany(requests, options);
 }
 
 Result<std::vector<SolveReport>> PoolPlanContext::SolveMany(

@@ -2,24 +2,30 @@
 
 #include <algorithm>
 
+#include "core/objective.h"
+#include "model/prior.h"
+#include "model/worker_pool_view.h"
+
 namespace jury {
 namespace {
-
-/// Solves one task at one budget; returns the solution.
-Result<JspSolution> SolveTaskAt(const AllocationTask& task, double budget,
-                                Rng* rng, const OptjsOptions& options) {
-  JspInstance instance;
-  instance.candidates = task.candidates;
-  instance.budget = budget;
-  instance.alpha = task.alpha;
-  return SolveOptjs(instance, rng, options);
-}
 
 /// Greedy state for one task: solutions at the current grant and one and
 /// two increments ahead. The two-step lookahead matters because BV jury
 /// quality plateaus at even sizes (a second worker adds nothing until a
 /// third arrives), which would stall a one-step marginal rule.
 struct TaskState {
+  /// The task's instance and view, built once; probes only restamp the
+  /// instance's budget.
+  JspInstance instance;
+  WorkerPoolView view;
+
+  /// Solves the task at one budget.
+  Result<JspSolution> SolveAt(double budget, const BucketBvObjective& objective,
+                              Rng* rng, const OptjsOptions& options) {
+    instance.budget = budget;
+    return SolveOptjs(instance, view, objective, rng, options);
+  }
+
   JspSolution at_current;
   JspSolution at_plus1;
   JspSolution at_plus2;
@@ -56,21 +62,27 @@ Result<AllocationResult> AllocateBudget(
     for (const Worker& w : task.candidates) {
       JURY_RETURN_NOT_OK(ValidateWorker(w));
     }
+    JURY_RETURN_NOT_OK(ValidateAlpha(task.alpha));
   }
 
   const std::size_t n = tasks.size();
   const double inc = options.increment;
+  const BucketBvObjective objective(options.optjs.bucket);
   std::vector<double> granted(n, 0.0);
   std::vector<TaskState> states(n);
   for (std::size_t i = 0; i < n; ++i) {
-    JURY_ASSIGN_OR_RETURN(states[i].at_current,
-                          SolveTaskAt(tasks[i], 0.0, rng, options.optjs));
-    JURY_ASSIGN_OR_RETURN(states[i].at_plus1,
-                          SolveTaskAt(tasks[i], inc, rng, options.optjs));
+    TaskState& state = states[i];
+    state.instance.candidates = tasks[i].candidates;
+    state.instance.alpha = tasks[i].alpha;
+    state.view = WorkerPoolView(state.instance.candidates);
+    JURY_ASSIGN_OR_RETURN(state.at_current,
+                          state.SolveAt(0.0, objective, rng, options.optjs));
+    JURY_ASSIGN_OR_RETURN(state.at_plus1,
+                          state.SolveAt(inc, objective, rng, options.optjs));
     JURY_ASSIGN_OR_RETURN(
-        states[i].at_plus2,
-        SolveTaskAt(tasks[i], 2.0 * inc, rng, options.optjs));
-    states[i].RecomputeGain();
+        state.at_plus2,
+        state.SolveAt(2.0 * inc, objective, rng, options.optjs));
+    state.RecomputeGain();
   }
 
   double remaining = global_budget;
@@ -93,12 +105,12 @@ Result<AllocationResult> AllocateBudget(
       state.at_current = state.at_plus2;
       JURY_ASSIGN_OR_RETURN(
           state.at_plus1,
-          SolveTaskAt(tasks[best], granted[best] + inc, rng, options.optjs));
+          state.SolveAt(granted[best] + inc, objective, rng, options.optjs));
     }
     JURY_ASSIGN_OR_RETURN(
         state.at_plus2,
-        SolveTaskAt(tasks[best], granted[best] + 2.0 * inc, rng,
-                    options.optjs));
+        state.SolveAt(granted[best] + 2.0 * inc, objective, rng,
+                      options.optjs));
     state.RecomputeGain();
   }
 

@@ -117,18 +117,14 @@ struct AnnealingStats {
 /// `options.num_restarts > 1` runs that many independent chains in
 /// parallel and returns the best jury found; `stats` then aggregates the
 /// per-chain instrumentation.
-Result<JspSolution> SolveAnnealing(const JspInstance& instance,
-                                   const JqObjective& objective, Rng* rng,
-                                   const AnnealingOptions& options = {},
-                                   AnnealingStats* stats = nullptr);
-
-/// \brief Planned-pool overload: the per-solve setup (pool validation and
-/// the columnar `WorkerPoolView` snapshot) is hoisted to the caller, which
-/// built it once — `api::PoolPlanContext` for the serving path. `view`
-/// must be a snapshot of `instance.candidates`-equal workers, and the
-/// pool must already be validated (only the options are re-checked here).
-/// Bit-identical to the wrapper above, which is now one `Validate` + one
-/// view build + this call.
+///
+/// Entry contract: the per-solve setup (instance validation and the
+/// columnar `WorkerPoolView` snapshot) is the caller's, built once —
+/// `api::PoolPlanContext` for the serving path, a local
+/// `WorkerPoolView(instance.candidates)` after `instance.Validate()`
+/// elsewhere. `view` must be a snapshot of `instance.candidates`-equal
+/// workers, and the instance must already be validated (only the options
+/// are checked here).
 Result<JspSolution> SolveAnnealing(const JspInstance& instance,
                                    const WorkerPoolView& view,
                                    const JqObjective& objective, Rng* rng,

@@ -60,14 +60,8 @@ struct BranchBoundStats {
 ///
 /// Requires `objective.monotone_in_size()` (InvalidArgument otherwise) —
 /// for MV use `SolveExhaustive`. Ties break towards cheaper juries, like
-/// the exhaustive solver.
-Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
-                                        const JqObjective& objective,
-                                        const BranchBoundOptions& options = {},
-                                        BranchBoundStats* stats = nullptr);
-
-/// Planned-pool overload (see the annealing planned overload for the
-/// contract): pool validation and the columnar view are the caller's.
+/// the exhaustive solver. Instance validation and the columnar view are
+/// the caller's (see `SolveAnnealing` for the contract).
 Result<JspSolution> SolveBranchAndBound(const JspInstance& instance,
                                         const WorkerPoolView& view,
                                         const JqObjective& objective,

@@ -4,6 +4,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/objective.h"
+#include "model/prior.h"
+#include "model/worker_pool_view.h"
 #include "util/cancellation.h"
 #include "util/fault_injection.h"
 #include "util/scheduler.h"
@@ -18,6 +21,16 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
   if (rng == nullptr) {
     return Status::InvalidArgument("BuildBudgetQualityTable requires an Rng");
   }
+  // Every row's instance differs only in its budget, so the instance
+  // checks run once here, and the rows share one view and one objective.
+  JURY_RETURN_NOT_OK(ValidateAlpha(alpha));
+  for (double budget : budgets) {
+    if (!(budget >= 0.0)) {
+      return Status::InvalidArgument("budget must be non-negative");
+    }
+  }
+  for (const Worker& w : candidates) JURY_RETURN_NOT_OK(ValidateWorker(w));
+  const WorkerPoolView view(candidates);
   // Rows are independent solves that run as one region on the process-wide
   // scheduler. Each row gets its own rng stream, forked from the caller's
   // rng serially (in row order) before the region. With nested solver
@@ -39,6 +52,7 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
   // in-flight row winds its inner solve down on deadline) but not the
   // termination out-pointer: rows run concurrently and the table owns one.
   row_options.termination = nullptr;
+  const BucketBvObjective objective(row_options.bucket);
 
   // The check site: one row is one work unit at this level (each row's
   // inner strands carry their own full per-strand budget). The cap is
@@ -68,8 +82,8 @@ Result<std::vector<BudgetQualityRow>> BuildBudgetQualityTable(
       instance.budget = budgets[i];
       instance.alpha = alpha;
       Rng row_rng(row_seeds[i]);
-      Result<JspSolution> solution = SolveOptjs(instance, &row_rng,
-                                                row_options);
+      Result<JspSolution> solution =
+          SolveOptjs(instance, view, objective, &row_rng, row_options);
       if (!solution.ok()) {
         row_status[i] = solution.status();
         row_done[i] = 1;
@@ -127,6 +141,7 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
     JURY_RETURN_NOT_OK(ValidateWorker(w));
     total += w.cost;
   }
+  JURY_RETURN_NOT_OK(ValidateAlpha(alpha));
 
   // One bisection probe is one work unit; a stop keeps the best budget
   // found so far (the full-pool solve below guarantees a valid fallback).
@@ -141,13 +156,17 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   probe_options.termination = nullptr;
   probe_options.max_work_units = 0;
 
+  // Probes differ only in their budget (each in [0, total]): one instance,
+  // view and objective serve the whole bisection.
+  JspInstance instance;
+  instance.candidates = candidates;
+  instance.alpha = alpha;
+  const WorkerPoolView view(instance.candidates);
+  const BucketBvObjective objective(probe_options.bucket);
   auto solve_at = [&](double budget) -> Result<JspSolution> {
-    JspInstance instance;
-    instance.candidates = candidates;
     instance.budget = budget;
-    instance.alpha = alpha;
     try {
-      return SolveOptjs(instance, rng, probe_options);
+      return SolveOptjs(instance, view, objective, rng, probe_options);
     } catch (const FaultInjectedError& error) {
       return Status::ResourceExhausted(error.what());
     }
@@ -187,9 +206,7 @@ Result<BudgetQualityRow> MinimalBudgetForQuality(
   BudgetQualityRow row;
   row.budget = best_budget;
   row.selected = best.selected;
-  JspInstance describe_instance;
-  describe_instance.candidates = candidates;
-  row.jury_ids = best.Describe(describe_instance);
+  row.jury_ids = best.Describe(instance);
   row.jq = best.jq;
   row.required = best.cost;
   return row;

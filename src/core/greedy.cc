@@ -71,14 +71,6 @@ std::vector<std::size_t> SortedIndices(const std::vector<double>& keys) {
 }  // namespace
 
 Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
-                                         const JqObjective& objective,
-                                         const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyByQuality(instance, view, objective, options);
-}
-
-Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
                                          const WorkerPoolView& view,
                                          const JqObjective& objective,
                                          const GreedyOptions& options) {
@@ -87,14 +79,6 @@ Result<JspSolution> SolveGreedyByQuality(const JspInstance& instance,
                                  view.quality().end());
   return FillInOrder(instance, view, objective, SortedIndices(keys),
                      options);
-}
-
-Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
-                                              const JqObjective& objective,
-                                              const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyByValuePerCost(instance, view, objective, options);
 }
 
 Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
@@ -109,14 +93,6 @@ Result<JspSolution> SolveGreedyByValuePerCost(const JspInstance& instance,
   }
   return FillInOrder(instance, view, objective, SortedIndices(keys),
                      options);
-}
-
-Result<JspSolution> SolveOddTopK(const JspInstance& instance,
-                                 const JqObjective& objective,
-                                 const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  return SolveOddTopK(instance, view, objective, options);
 }
 
 Result<JspSolution> SolveOddTopK(const JspInstance& instance,
@@ -157,17 +133,6 @@ Result<JspSolution> SolveOddTopK(const JspInstance& instance,
     options.termination->MergeStrand(governor.reason(), governor.work_done());
   }
   return best;
-}
-
-Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,
-                                            const JqObjective& objective,
-                                            const GreedyOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  // One columnar snapshot per solve: sessions (and their per-shard
-  // clones) score straight off the view's contiguous columns, and the
-  // affordability filter reads the cost column instead of Worker structs.
-  const WorkerPoolView view(instance.candidates);
-  return SolveGreedyMarginalGain(instance, view, objective, options);
 }
 
 Result<JspSolution> SolveGreedyMarginalGain(const JspInstance& instance,

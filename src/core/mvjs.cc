@@ -6,14 +6,6 @@
 
 namespace jury {
 
-Result<JspSolution> SolveMvjs(const JspInstance& instance, Rng* rng,
-                              const MvjsOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  const MajorityObjective objective;
-  return SolveMvjs(instance, view, objective, rng, options);
-}
-
 Result<JspSolution> SolveMvjs(const JspInstance& instance,
                               const WorkerPoolView& view,
                               const MajorityObjective& objective, Rng* rng,

@@ -48,14 +48,6 @@ Status OptjsOptions::Validate() const {
   return Status::OK();
 }
 
-Result<JspSolution> SolveOptjs(const JspInstance& instance, Rng* rng,
-                               const OptjsOptions& options) {
-  JURY_RETURN_NOT_OK(instance.Validate());
-  const WorkerPoolView view(instance.candidates);
-  const BucketBvObjective objective(options.bucket);
-  return SolveOptjs(instance, view, objective, rng, options);
-}
-
 Result<JspSolution> SolveOptjs(const JspInstance& instance,
                                const WorkerPoolView& view,
                                const BucketBvObjective& objective, Rng* rng,

@@ -9,6 +9,7 @@
 #include "core/exhaustive.h"
 #include "core/jsp.h"
 #include "core/objective.h"
+#include "model/worker_pool_view.h"
 #include "util/check.h"
 
 namespace jury::mc {
@@ -78,7 +79,9 @@ class McJqObjectiveAdapter final : public JqObjective {
 /// Binary instance over placeholder workers: id = candidate index, cost =
 /// the real cost (the column every affordability test reads), quality = a
 /// neutral 0.5 the adapter never consults. Alpha is likewise a neutral
-/// placeholder — the adapter overrides everything alpha-dependent.
+/// placeholder — the adapter overrides everything alpha-dependent. Valid
+/// as a `JspInstance` whenever `McJspInstance::Validate` passed (its budget
+/// and costs are the checked ones), so the solvers get it unchecked.
 JspInstance MakeBinaryInstance(const McJspInstance& instance) {
   JspInstance binary;
   binary.budget = instance.budget;
@@ -139,7 +142,8 @@ Result<McJspSolution> SolveMcAnnealing(const McJspInstance& instance, Rng* rng,
   annealing.cooling_factor = options.cooling_factor;
   JspSolution solution;
   JURY_ASSIGN_OR_RETURN(
-      solution, SolveAnnealing(binary, objective, rng, annealing));
+      solution, SolveAnnealing(binary, WorkerPoolView(binary.candidates),
+                               objective, rng, annealing));
   return FromBinary(solution);
 }
 
@@ -155,8 +159,9 @@ Result<McJspSolution> SolveMcExhaustive(const McJspInstance& instance,
   ExhaustiveOptions exhaustive;
   exhaustive.max_candidates = max_candidates;
   JspSolution solution;
-  JURY_ASSIGN_OR_RETURN(solution,
-                        SolveExhaustive(binary, objective, exhaustive));
+  JURY_ASSIGN_OR_RETURN(
+      solution, SolveExhaustive(binary, WorkerPoolView(binary.candidates),
+                                objective, exhaustive));
   return FromBinary(solution);
 }
 

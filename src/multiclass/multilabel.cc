@@ -1,5 +1,8 @@
 #include "multiclass/multilabel.h"
 
+#include "core/objective.h"
+#include "model/worker_pool_view.h"
+
 namespace jury::mc {
 
 Result<MultiLabelPlan> PlanMultiLabelSelection(
@@ -13,13 +16,17 @@ Result<MultiLabelPlan> PlanMultiLabelSelection(
 
   MultiLabelPlan plan;
   plan.selections.reserve(projections.size());
+  const BucketBvObjective objective(options.bucket);
   for (BinaryProjection& projection : projections) {
     JspInstance instance;
     instance.candidates = projection.workers;
     instance.budget = budget_per_label;
     instance.alpha = projection.alpha;
+    JURY_RETURN_NOT_OK(instance.Validate());
+    const WorkerPoolView view(instance.candidates);
     JspSolution solution;
-    JURY_ASSIGN_OR_RETURN(solution, SolveOptjs(instance, rng, options));
+    JURY_ASSIGN_OR_RETURN(solution,
+                          SolveOptjs(instance, view, objective, rng, options));
 
     LabelSelection selection;
     selection.label = projection.label;

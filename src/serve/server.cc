@@ -9,9 +9,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "serve/result_cache.h"
@@ -65,15 +68,35 @@ std::string ErrorBody(int status, const std::string& message) {
   return body;
 }
 
-/// HTTP/1.1 defaults to keep-alive; `Connection: close` (or HTTP/1.0
-/// without `Connection: keep-alive`) opts out.
+bool EqualsIgnoringAsciiCase(std::string_view a, std::string_view b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](char x, char y) {
+                      return std::tolower(static_cast<unsigned char>(x)) ==
+                             std::tolower(static_cast<unsigned char>(y));
+                    });
+}
+
+/// HTTP/1.1 defaults to keep-alive; a `close` token in `Connection` (or
+/// HTTP/1.0 without a `keep-alive` token) opts out. The header is a
+/// comma-separated token list, and tokens are case-insensitive, so
+/// `Connection: Keep-Alive` keeps an HTTP/1.0 client open.
 bool WantsKeepAlive(const HttpRequest& request) {
+  bool keep_alive = request.version != "HTTP/1.0";
   const auto it = request.headers.find("connection");
-  if (it != request.headers.end()) {
-    if (it->second == "close") return false;
-    if (it->second == "keep-alive") return true;
+  if (it == request.headers.end()) return keep_alive;
+  std::string_view rest = it->second;
+  while (!rest.empty()) {
+    const std::size_t comma = rest.find(',');
+    std::string_view token = rest.substr(0, comma);
+    rest = comma == std::string_view::npos ? std::string_view()
+                                           : rest.substr(comma + 1);
+    const std::size_t first = token.find_first_not_of(" \t");
+    if (first == std::string_view::npos) continue;
+    token = token.substr(first, token.find_last_not_of(" \t") + 1 - first);
+    if (EqualsIgnoringAsciiCase(token, "close")) return false;
+    if (EqualsIgnoringAsciiCase(token, "keep-alive")) keep_alive = true;
   }
-  return request.version != "HTTP/1.0";
+  return keep_alive;
 }
 
 }  // namespace

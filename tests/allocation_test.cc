@@ -1,5 +1,6 @@
 #include "gtest/gtest.h"
 #include "core/allocation.h"
+#include "model/worker_pool_view.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -47,7 +48,9 @@ TEST(AllocationTest, BeatsUniformSplit) {
     instance.candidates = task.candidates;
     instance.budget = global / 6.0;
     instance.alpha = task.alpha;
-    uniform_mean += SolveOptjs(instance, &r2).value().jq;
+    const WorkerPoolView view(instance.candidates);
+    uniform_mean +=
+        SolveOptjs(instance, view, BucketBvObjective(), &r2).value().jq;
   }
   uniform_mean /= 6.0;
   EXPECT_GE(smart.mean_jq, uniform_mean - 1e-6);
@@ -100,6 +103,10 @@ TEST(AllocationTest, ValidatesArguments) {
   AllocationOptions bad;
   bad.increment = 0.0;
   EXPECT_FALSE(AllocateBudget({}, 1.0, &rng, bad).ok());
+  const std::vector<AllocationTask> bad_alpha = {MakeTask(&rng, 6),
+                                                 MakeTask(&rng, 6, 1.5)};
+  EXPECT_EQ(AllocateBudget(bad_alpha, 1.0, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

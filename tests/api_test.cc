@@ -3,7 +3,7 @@
 //
 // The central claims, property-tested over seeded instances:
 //  * every registered solver returns the *bit-identical* jury through the
-//    new SolveRequest path and the legacy free function;
+//    SolveRequest path and a direct call of its core entry point;
 //  * SolveMany over shuffled request batches is order- and
 //    thread-count-invariant;
 //  * unknown solver names and invalid options surface as non-OK Status —
@@ -28,6 +28,7 @@
 #include "core/mvjs.h"
 #include "core/optjs.h"
 #include "gtest/gtest.h"
+#include "model/worker_pool_view.h"
 #include "test_util.h"
 #include "util/rng.h"
 #include "util/stats_registry.h"
@@ -47,49 +48,56 @@ std::vector<std::vector<Worker>> SeededPools(int count, int n) {
   return pools;
 }
 
-/// The legacy call the registry adapter for `name` must match bit-for-bit.
-Result<JspSolution> LegacySolve(const std::string& name,
+/// The direct core call the registry adapter for `name` must match
+/// bit-for-bit: the solver's entry point on a freshly built view of the
+/// instance's own pool.
+Result<JspSolution> DirectSolve(const std::string& name,
                                 const JspInstance& instance,
                                 const SolveRequest& request) {
+  const WorkerPoolView view(instance.candidates);
   if (name == "optjs") {
     Rng rng(request.rng_seed);
-    return SolveOptjs(instance, &rng, request.tuning.optjs);
+    return SolveOptjs(instance, view,
+                      BucketBvObjective(request.tuning.optjs.bucket), &rng,
+                      request.tuning.optjs);
   }
   if (name == "mvjs") {
     Rng rng(request.rng_seed);
-    return SolveMvjs(instance, &rng, request.tuning.mvjs);
+    return SolveMvjs(instance, view, MajorityObjective(), &rng,
+                     request.tuning.mvjs);
   }
   auto objective = MakeObjective(request.tuning);
   if (!objective.ok()) return objective.status();
   if (name == "annealing") {
     Rng rng(request.rng_seed);
-    return SolveAnnealing(instance, *objective.value(), &rng,
+    return SolveAnnealing(instance, view, *objective.value(), &rng,
                           request.tuning.annealing);
   }
   if (name == "exhaustive") {
-    return SolveExhaustive(instance, *objective.value(),
+    return SolveExhaustive(instance, view, *objective.value(),
                            request.tuning.exhaustive);
   }
   if (name == "greedy-quality") {
-    return SolveGreedyByQuality(instance, *objective.value(),
+    return SolveGreedyByQuality(instance, view, *objective.value(),
                                 request.tuning.greedy);
   }
   if (name == "greedy-value") {
-    return SolveGreedyByValuePerCost(instance, *objective.value(),
+    return SolveGreedyByValuePerCost(instance, view, *objective.value(),
                                      request.tuning.greedy);
   }
   if (name == "greedy-mg") {
-    return SolveGreedyMarginalGain(instance, *objective.value(),
+    return SolveGreedyMarginalGain(instance, view, *objective.value(),
                                    request.tuning.greedy);
   }
   if (name == "odd-top-k") {
-    return SolveOddTopK(instance, *objective.value(), request.tuning.greedy);
+    return SolveOddTopK(instance, view, *objective.value(),
+                        request.tuning.greedy);
   }
   if (name == "branch-bound") {
-    return SolveBranchAndBound(instance, *objective.value(),
+    return SolveBranchAndBound(instance, view, *objective.value(),
                                request.tuning.branch_bound);
   }
-  return Status::NotFound("test has no legacy mapping for '" + name + "'");
+  return Status::NotFound("test has no direct mapping for '" + name + "'");
 }
 
 TEST(RegistryTest, NamesAreStableAndResolvable) {
@@ -127,9 +135,9 @@ INSTANTIATE_TEST_SUITE_P(AllSolvers, RegistryContractTest,
                            return name;
                          });
 
-/// (a) of the registry contract: the SolveRequest path equals the legacy
-/// free function bit-for-bit on seeded instances.
-TEST_P(RegistryContractTest, MatchesLegacyFreeFunctionBitForBit) {
+/// (a) of the registry contract: the SolveRequest path equals the direct
+/// core call bit-for-bit on seeded instances.
+TEST_P(RegistryContractTest, MatchesDirectCoreCallBitForBit) {
   const std::string name = GetParam();
   for (const std::vector<Worker>& pool : SeededPools(5, 10)) {
     auto context = PoolPlanContext::Plan(pool).value();
@@ -153,12 +161,12 @@ TEST_P(RegistryContractTest, MatchesLegacyFreeFunctionBitForBit) {
         instance.candidates = pool;
         instance.budget = budget;
         instance.alpha = 0.4;
-        auto legacy = LegacySolve(name, instance, request);
-        ASSERT_TRUE(legacy.ok()) << name << ": " << legacy.status();
-        EXPECT_EQ(report.value().solution.selected, legacy.value().selected)
+        auto direct = DirectSolve(name, instance, request);
+        ASSERT_TRUE(direct.ok()) << name << ": " << direct.status();
+        EXPECT_EQ(report.value().solution.selected, direct.value().selected)
             << name << " B=" << budget << " seed=" << seed;
-        EXPECT_EQ(report.value().solution.jq, legacy.value().jq);
-        EXPECT_EQ(report.value().solution.cost, legacy.value().cost);
+        EXPECT_EQ(report.value().solution.jq, direct.value().jq);
+        EXPECT_EQ(report.value().solution.cost, direct.value().cost);
       }
     }
   }
@@ -235,7 +243,7 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   }
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    auto batch = context.SolveMany(requests, threads);
+    auto batch = context.SolveMany(requests, {.num_threads = threads});
     ASSERT_TRUE(batch.ok()) << batch.status();
     ASSERT_EQ(batch.value().size(), requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -251,7 +259,7 @@ TEST(SolveManyTest, OrderAndThreadCountInvariant) {
   shuffle_rng.Shuffle(&order);
   std::vector<SolveRequest> shuffled;
   for (const std::size_t idx : order) shuffled.push_back(requests[idx]);
-  auto batch = context.SolveMany(shuffled, 8);
+  auto batch = context.SolveMany(shuffled, {.num_threads = 8});
   ASSERT_TRUE(batch.ok()) << batch.status();
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(canonical(batch.value()[i]), expected[order[i]])
@@ -269,7 +277,7 @@ TEST(SolveManyTest, FailsWithTheLowestIndexError) {
   requests[1].budget = 10.0;
   requests[2].solver = "greedy-quality";
   requests[2].budget = -1.0;  // also invalid, but later in the batch
-  const auto result = context.SolveMany(requests, 8);
+  const auto result = context.SolveMany(requests, {.num_threads = 8});
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
 }
 
@@ -377,21 +385,23 @@ TEST(OptionsValidationTest, DirectValidateCalls) {
   bad_threshold.exhaustive_threshold = 63;
   EXPECT_FALSE(bad_threshold.Validate().ok());
 
-  // Legacy free functions validate too (the "call it at every Solve*
-  // entry" satellite): the thin wrappers share the planned entry.
+  // Direct core calls validate their options too: every solver entry
+  // point runs `options.Validate()` before it touches the view.
   JspInstance instance;
   instance.candidates = jury::testing::Figure1Workers();
   instance.budget = 15.0;
+  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective;
   Rng rng(1);
   AnnealingOptions bad_schedule;
   bad_schedule.cooling_factor = 0.0;
-  EXPECT_EQ(
-      SolveAnnealing(instance, objective, &rng, bad_schedule).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(SolveAnnealing(instance, view, objective, &rng, bad_schedule)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
   BranchBoundOptions zero_nodes;
   zero_nodes.max_nodes = 0;
-  EXPECT_EQ(SolveBranchAndBound(instance, objective, zero_nodes)
+  EXPECT_EQ(SolveBranchAndBound(instance, view, objective, zero_nodes)
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);

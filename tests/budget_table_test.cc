@@ -1,5 +1,6 @@
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "core/budget_table.h"
@@ -126,6 +127,30 @@ TEST(MinimalBudgetTest, ValidatesArguments) {
   EXPECT_FALSE(MinimalBudgetForQuality(Figure1Workers(), 0.8, 0.5, &rng, {},
                                        -1.0)
                    .ok());
+  EXPECT_EQ(MinimalBudgetForQuality(Figure1Workers(), 0.8, 1.5, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BudgetTableTest, ValidatesWorkersAlphaAndBudgets) {
+  // Every row is one OPTJS instance, so the table rejects what an
+  // instance would: a bad worker, a bad prior, a negative budget.
+  Rng rng(41);
+  std::vector<Worker> bad_worker = Figure1Workers();
+  bad_worker[3].quality = 1.5;
+  EXPECT_EQ(BuildBudgetQualityTable(bad_worker, {5.0, 10.0}, 0.5, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildBudgetQualityTable(Figure1Workers(), {5.0, 10.0}, 1.5, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildBudgetQualityTable(Figure1Workers(), {5.0, -1.0}, 0.5, &rng)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(BudgetTableTest, FormatsInPaperStyle) {

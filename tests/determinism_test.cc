@@ -13,6 +13,7 @@
 #include "crowd/sentiment.h"
 #include "crowd/vote_sim.h"
 #include "jq/monte_carlo.h"
+#include "model/worker_pool_view.h"
 #include "strategy/registry.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -68,10 +69,11 @@ TEST(DeterminismTest, AnnealingSolver) {
   instance.candidates = RandomPool(&pool_rng, 20, 0.5, 0.95, 0.05, 0.3);
   instance.budget = 0.5;
   instance.alpha = 0.5;
+  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective;
   ExpectSameTwice([&] {
     Rng rng(4242);
-    return SolveAnnealing(instance, objective, &rng).value().selected;
+    return SolveAnnealing(instance, view, objective, &rng).value().selected;
   });
 }
 
@@ -81,13 +83,18 @@ TEST(DeterminismTest, FullSystems) {
   instance.candidates = RandomPool(&pool_rng, 16, 0.5, 0.95, 0.05, 0.3);
   instance.budget = 0.5;
   instance.alpha = 0.5;
+  const WorkerPoolView view(instance.candidates);
   ExpectSameTwice([&] {
     Rng rng(555);
-    return SolveOptjs(instance, &rng).value().selected;
+    return SolveOptjs(instance, view, BucketBvObjective(), &rng)
+        .value()
+        .selected;
   });
   ExpectSameTwice([&] {
     Rng rng(556);
-    return SolveMvjs(instance, &rng).value().selected;
+    return SolveMvjs(instance, view, MajorityObjective(), &rng)
+        .value()
+        .selected;
   });
 }
 

@@ -16,6 +16,7 @@
 #include "jq/bucket.h"
 #include "jq/closed_form.h"
 #include "jq/exact.h"
+#include "model/worker_pool_view.h"
 #include "strategy/registry.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -81,21 +82,22 @@ TEST_P(FuzzTest, SolverInvariants) {
     instance.candidates = RandomPool(&rng, n, 0.0, 1.0, 0.0, 0.5);
     instance.budget = rng.Uniform(0.0, 1.5);
     instance.alpha = rng.Uniform();
+    const WorkerPoolView view(instance.candidates);
 
     const ExactBvObjective objective;
-    const auto exhaustive = SolveExhaustive(instance, objective).value();
-    const auto bb = SolveBranchAndBound(instance, objective).value();
+    const auto exhaustive = SolveExhaustive(instance, view, objective).value();
+    const auto bb = SolveBranchAndBound(instance, view, objective).value();
     EXPECT_NEAR(bb.jq, exhaustive.jq, 1e-9);
 
     Rng sa_rng = rng.Fork();
-    const auto sa = SolveAnnealing(instance, objective, &sa_rng).value();
+    const auto sa = SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(sa.cost, instance.budget + 1e-12);
     EXPECT_LE(sa.jq, exhaustive.jq + 1e-9);
 
     for (const auto& greedy :
-         {SolveGreedyByQuality(instance, objective).value(),
-          SolveGreedyByValuePerCost(instance, objective).value(),
-          SolveOddTopK(instance, objective).value()}) {
+         {SolveGreedyByQuality(instance, view, objective).value(),
+          SolveGreedyByValuePerCost(instance, view, objective).value(),
+          SolveOddTopK(instance, view, objective).value()}) {
       EXPECT_LE(greedy.cost, instance.budget + 1e-12);
       EXPECT_LE(greedy.jq, exhaustive.jq + 1e-9);
     }
@@ -109,12 +111,17 @@ TEST_P(FuzzTest, SystemsNeverViolateBudgetsOrDominance) {
     instance.candidates = RandomPool(&rng, 14, 0.3, 0.99, 0.02, 0.4);
     instance.budget = rng.Uniform(0.1, 1.0);
     instance.alpha = 0.5;
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const auto optjs = SolveOptjs(instance, &r1, options).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const auto optjs =
+        SolveOptjs(instance, view, BucketBvObjective(options.bucket), &r1,
+                   options)
+            .value();
+    const auto mvjs =
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value();
     EXPECT_LE(optjs.cost, instance.budget + 1e-12);
     EXPECT_LE(mvjs.cost, instance.budget + 1e-12);
     // Corollary 1 at system level (exhaustive path is exact for N <= 12;

@@ -11,6 +11,7 @@
 #include "crowd/sentiment.h"
 #include "crowd/vote_sim.h"
 #include "jq/bucket.h"
+#include "model/worker_pool_view.h"
 #include "strategy/bayesian.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -30,8 +31,10 @@ TEST(IntegrationTest, JqPredictsRealizedAccuracy) {
   instance.candidates = pool;
   instance.budget = 0.5;
   instance.alpha = 0.5;
+  const WorkerPoolView view(instance.candidates);
   Rng solver_rng(7);
-  const auto solution = SolveOptjs(instance, &solver_rng).value();
+  const auto solution =
+      SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
   ASSERT_FALSE(solution.selected.empty());
   const Jury jury = solution.ToJury(instance);
 
@@ -52,6 +55,8 @@ TEST(IntegrationTest, EndToEndSyntheticComparisonFavorsOptjs) {
   // One point of Fig. 6: default parameters, averaged over repetitions.
   Rng rng(103);
   OnlineStats optjs_jq, mvjs_jq;
+  const BucketBvObjective bv;
+  const MajorityObjective mv;
   for (int rep = 0; rep < 8; ++rep) {
     crowd::PoolConfig config;
     config.num_workers = 25;
@@ -61,10 +66,11 @@ TEST(IntegrationTest, EndToEndSyntheticComparisonFavorsOptjs) {
     instance.candidates = pool;
     instance.budget = 0.5;
     instance.alpha = 0.5;
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    optjs_jq.Add(SolveOptjs(instance, &r1).value().jq);
-    mvjs_jq.Add(SolveMvjs(instance, &r2).value().jq);
+    optjs_jq.Add(SolveOptjs(instance, view, bv, &r1).value().jq);
+    mvjs_jq.Add(SolveMvjs(instance, view, mv, &r2).value().jq);
   }
   EXPECT_GE(optjs_jq.mean(), mvjs_jq.mean());
 }
@@ -88,8 +94,10 @@ TEST(IntegrationTest, SentimentDatasetDrivesJsp) {
           dataset.estimated_quality[answer.worker],
           rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
     }
+    const WorkerPoolView view(instance.candidates);
     Rng solver_rng = rng.Fork();
-    const auto solution = SolveOptjs(instance, &solver_rng).value();
+    const auto solution =
+        SolveOptjs(instance, view, BucketBvObjective(), &solver_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
     jq_stats.Add(solution.jq);
   }
@@ -142,11 +150,18 @@ TEST(IntegrationTest, EstimatedQualitiesAreGoodEnoughForSelection) {
     return instance;
   };
   Rng r1(1), r2(1);
-  const auto with_latent = SolveOptjs(make_instance(latent), &r1).value();
+  const JspInstance latent_instance = make_instance(latent);
+  const JspInstance estimated_instance = make_instance(estimated);
+  const auto with_latent =
+      SolveOptjs(latent_instance, WorkerPoolView(latent_instance.candidates),
+                 BucketBvObjective(), &r1)
+          .value();
   const auto with_estimate =
-      SolveOptjs(make_instance(estimated), &r2).value();
+      SolveOptjs(estimated_instance,
+                 WorkerPoolView(estimated_instance.candidates),
+                 BucketBvObjective(), &r2)
+          .value();
   // Evaluate BOTH selections under the latent qualities.
-  const auto latent_instance = make_instance(latent);
   JspSolution estimate_as_latent = with_estimate;
   const double jq_latent_selection =
       EstimateJq(with_latent.ToJury(latent_instance), 0.5).value();

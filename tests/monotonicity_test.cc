@@ -10,6 +10,7 @@
 #include "core/objective.h"
 #include "jq/bucket.h"
 #include "jq/exact.h"
+#include "model/worker_pool_view.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -101,8 +102,10 @@ TEST(CostCorollaryTest, FreeWorkersMeanSelectEveryone) {
     instance.candidates.emplace_back("w" + std::to_string(i),
                                      rng.Uniform(0.5, 0.95), 0.0);
   }
+  const WorkerPoolView view(instance.candidates);
   const ExactBvObjective objective;
-  const auto solution = SolveGreedyByQuality(instance, objective).value();
+  const auto solution =
+      SolveGreedyByQuality(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size(), instance.candidates.size());
 }
 
@@ -118,10 +121,11 @@ TEST(CostCorollaryTest, UniformCostsMeanTopKByQuality) {
       instance.candidates.emplace_back("w" + std::to_string(i),
                                        rng.Uniform(0.5, 0.95), 1.0);
     }
+    const WorkerPoolView view(instance.candidates);
     const ExactBvObjective objective;
-    const auto greedy = SolveGreedyByQuality(instance, objective).value();
-    const auto exact =
-        SolveExhaustive(instance, objective).value();
+    const auto greedy =
+        SolveGreedyByQuality(instance, view, objective).value();
+    const auto exact = SolveExhaustive(instance, view, objective).value();
     EXPECT_NEAR(greedy.jq, exact.jq, 1e-9);
   }
 }

@@ -15,6 +15,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -270,9 +271,11 @@ TEST(ContextCacheTest, HitIsByteIdenticalToColdSolve) {
 
     const api::SolveRequest request = BaseRequest();
     // Cold and hit both go through the batched path at `num_threads`.
-    auto cold = context.SolveMany({&request, 1}, num_threads);
+    auto cold =
+        context.SolveMany({&request, 1}, {.num_threads = num_threads});
     ASSERT_TRUE(cold.ok());
-    auto hit = context.SolveMany({&request, 1}, num_threads);
+    auto hit =
+        context.SolveMany({&request, 1}, {.num_threads = num_threads});
     ASSERT_TRUE(hit.ok());
     ASSERT_EQ(context.result_cache()->stats().hits, 1u);
     ExpectHitReplaysCold(cold.value()[0], hit.value()[0]);
@@ -485,11 +488,16 @@ class TestClient {
   }
   bool connected() const { return connected_; }
 
-  /// One round trip; returns the raw status line + body.
+  /// One round trip; returns the status code + body (the header block
+  /// stays readable through `head()`). `headers` are extra request
+  /// header lines, each ending in CRLF.
   std::pair<int, std::string> RoundTrip(const std::string& method,
                                         const std::string& target,
-                                        const std::string& body = "") {
-    std::string request = method + " " + target + " HTTP/1.1\r\n";
+                                        const std::string& body = "",
+                                        const std::string& version = "HTTP/1.1",
+                                        const std::string& headers = "") {
+    std::string request = method + " " + target + " " + version + "\r\n";
+    request += headers;
     request += "Content-Length: " + std::to_string(body.size()) + "\r\n\r\n";
     request += body;
     if (::send(fd_, request.data(), request.size(), MSG_NOSIGNAL) !=
@@ -516,13 +524,27 @@ class TestClient {
       if (n <= 0) break;
       response.append(chunk, static_cast<std::size_t>(n));
     }
+    head_ = response.substr(0, header_end);
     const int status = std::atoi(response.c_str() + 9);
     return {status, response.substr(header_end + 4)};
+  }
+
+  /// Status line and headers of the last response.
+  const std::string& head() const { return head_; }
+
+  /// True when the server closes the connection (EOF) within
+  /// `timeout_ms`; false when it stays open that long.
+  bool ClosedByPeer(int timeout_ms) {
+    pollfd ready{fd_, POLLIN, 0};
+    if (::poll(&ready, 1, timeout_ms) <= 0) return false;
+    char byte;
+    return ::recv(fd_, &byte, 1, MSG_PEEK) == 0;
   }
 
  private:
   int fd_ = -1;
   bool connected_ = false;
+  std::string head_;
 };
 
 class JuryServerTest : public ::testing::Test {
@@ -589,6 +611,53 @@ TEST_F(JuryServerTest, StructuredErrorsNeverKillTheProcess) {
   // The server is still healthy after the abuse.
   auto [health_status, health_body] = client.RoundTrip("GET", "/healthz");
   EXPECT_EQ(health_status, 200);
+}
+
+TEST_F(JuryServerTest, ConnectionTokensIgnoreCase) {
+  const auto has = [](const std::string& head, const std::string& line) {
+    return head.find("\r\n" + line + "\r\n") != std::string::npos ||
+           head.ends_with("\r\n" + line);
+  };
+  {
+    // An HTTP/1.0 client opts into keep-alive with the usual spelling.
+    TestClient client(server_->port());
+    ASSERT_TRUE(client.connected());
+    EXPECT_EQ(client.RoundTrip("GET", "/healthz", "", "HTTP/1.0",
+                               "Connection: Keep-Alive\r\n")
+                  .first,
+              200);
+    EXPECT_TRUE(has(client.head(), "Connection: keep-alive")) << client.head();
+    EXPECT_FALSE(client.ClosedByPeer(200));
+    // A token list keeps it open too, and the connection serves again.
+    EXPECT_EQ(client.RoundTrip("GET", "/healthz", "", "HTTP/1.0",
+                               "Connection: TE, KEEP-ALIVE\r\n")
+                  .first,
+              200);
+    EXPECT_TRUE(has(client.head(), "Connection: keep-alive")) << client.head();
+    EXPECT_FALSE(client.ClosedByPeer(200));
+  }
+  {
+    // Without the token, HTTP/1.0 closes after the reply.
+    TestClient client(server_->port());
+    ASSERT_TRUE(client.connected());
+    EXPECT_EQ(client.RoundTrip("GET", "/healthz", "", "HTTP/1.0").first, 200);
+    EXPECT_TRUE(has(client.head(), "Connection: close")) << client.head();
+    EXPECT_TRUE(client.ClosedByPeer(5000));
+  }
+  {
+    // An HTTP/1.1 client opts out with `Close`, alone or in a list.
+    for (const std::string value : {"Close", "Upgrade , cLoSe"}) {
+      TestClient client(server_->port());
+      ASSERT_TRUE(client.connected());
+      EXPECT_EQ(client.RoundTrip("GET", "/healthz", "", "HTTP/1.1",
+                                 "Connection: " + value + "\r\n")
+                    .first,
+                200);
+      EXPECT_TRUE(has(client.head(), "Connection: close"))
+          << value << ": " << client.head();
+      EXPECT_TRUE(client.ClosedByPeer(5000)) << value;
+    }
+  }
 }
 
 TEST_F(JuryServerTest, EpochBumpMidStreamKeepsServing) {

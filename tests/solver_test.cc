@@ -14,6 +14,7 @@
 #include "core/optjs.h"
 #include "jq/closed_form.h"
 #include "jq/exact.h"
+#include "model/worker_pool_view.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -58,7 +59,8 @@ TEST(ExhaustiveSolverTest, FindsTheFigure1Optima) {
   };
   for (const auto& expected : table) {
     const auto instance = MakeInstance(Figure1Workers(), expected.budget);
-    const auto solution = SolveExhaustive(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_EQ(solution.selected, expected.selected)
         << "B=" << expected.budget << " got " << solution.Describe(instance);
     EXPECT_NEAR(solution.jq, expected.jq, 1e-9);
@@ -72,7 +74,8 @@ TEST(ExhaustiveSolverTest, RespectsBudgetAlways) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 9, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.2, 2.0));
-    const auto solution = SolveExhaustive(instance, objective).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto solution = SolveExhaustive(instance, view, objective).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
   }
 }
@@ -82,7 +85,8 @@ TEST(ExhaustiveSolverTest, ZeroBudgetYieldsEmptyJury) {
   Rng rng(1);
   const auto instance =
       MakeInstance(RandomPool(&rng, 5, 0.5, 0.9, 0.5, 1.0), 0.0);
-  const auto solution = SolveExhaustive(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveExhaustive(instance, view, objective).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.5);
 }
@@ -92,7 +96,8 @@ TEST(ExhaustiveSolverTest, GuardsLargePools) {
   const ExactBvObjective objective;
   const auto instance =
       MakeInstance(RandomPool(&rng, 23, 0.5, 0.9, 0.1, 1.0), 1.0);
-  EXPECT_EQ(SolveExhaustive(instance, objective).status().code(),
+  const WorkerPoolView view(instance.candidates);
+  EXPECT_EQ(SolveExhaustive(instance, view, objective).status().code(),
             StatusCode::kOutOfRange);
 }
 
@@ -105,7 +110,8 @@ TEST(ExhaustiveSolverTest, MaximalityPruningMatchesFullEnumeration) {
   for (int trial = 0; trial < 8; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 8, 0.5, 0.95, 0.1, 0.6), rng.Uniform(0.3, 1.5));
-    const auto fast = SolveExhaustive(instance, bv).value();
+    const WorkerPoolView view(instance.candidates);
+    const auto fast = SolveExhaustive(instance, view, bv).value();
     // Brute-force reference without maximality pruning.
     double best = EmptyJuryJq(instance.alpha);
     for (std::uint64_t mask = 1; mask < (1u << 8); ++mask) {
@@ -140,12 +146,13 @@ TEST_P(AnnealingQualityTest, ComesCloseToTheExhaustiveOptimum) {
                       pool_rng.TruncatedGaussian(0.05, 0.2, 0.01, 1e9));
   }
   const auto instance = MakeInstance(std::move(pool), 0.5);
+  const WorkerPoolView view(instance.candidates);
   const ExactBvObjective objective;
-  const auto optimal = SolveExhaustive(instance, objective).value();
+  const auto optimal = SolveExhaustive(instance, view, objective).value();
   double best_sa = 0.0;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     Rng sa_rng(static_cast<std::uint64_t>(GetParam()) * 7 + seed);
-    const auto sa = SolveAnnealing(instance, objective, &sa_rng).value();
+    const auto sa = SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(sa.cost, instance.budget + 1e-12);
     EXPECT_LE(sa.jq, optimal.jq + 1e-9);
     best_sa = std::max(best_sa, sa.jq);
@@ -161,9 +168,10 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 30, 0.5, 0.95, 0.05, 0.5), rng.Uniform(0.1, 1.0));
+    const WorkerPoolView view(instance.candidates);
     Rng sa_rng = rng.Fork();
     const auto solution =
-        SolveAnnealing(instance, objective, &sa_rng).value();
+        SolveAnnealing(instance, view, objective, &sa_rng).value();
     EXPECT_LE(solution.cost, instance.budget + 1e-12);
     // No duplicate selections.
     for (std::size_t i = 1; i < solution.selected.size(); ++i) {
@@ -175,8 +183,9 @@ TEST(AnnealingSolverTest, BudgetNeverViolated) {
 TEST(AnnealingSolverTest, EmptyPoolYieldsPriorOnlySolution) {
   const BucketBvObjective objective;
   const auto instance = MakeInstance({}, 1.0, 0.7);
+  const WorkerPoolView view(instance.candidates);
   Rng rng(5);
-  const auto solution = SolveAnnealing(instance, objective, &rng).value();
+  const auto solution = SolveAnnealing(instance, view, objective, &rng).value();
   EXPECT_TRUE(solution.selected.empty());
   EXPECT_DOUBLE_EQ(solution.jq, 0.7);
 }
@@ -186,9 +195,11 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
   const BucketBvObjective objective;
   const auto instance =
       MakeInstance(RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const WorkerPoolView view(instance.candidates);
   Rng sa_rng(17);
   AnnealingStats stats;
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &sa_rng, {}, &stats).ok());
+  ASSERT_TRUE(
+      SolveAnnealing(instance, view, objective, &sa_rng, {}, &stats).ok());
   // T halves from 1.0 to 1e-8: 27 levels.
   EXPECT_EQ(stats.temperature_levels, 27u);
   EXPECT_EQ(stats.moves_attempted, 27u * 20u);
@@ -201,11 +212,12 @@ TEST(AnnealingSolverTest, StatsAreConsistent) {
 TEST(AnnealingSolverTest, ValidatesArguments) {
   const BucketBvObjective objective;
   const auto instance = MakeInstance(Figure1Workers(), 10.0);
+  const WorkerPoolView view(instance.candidates);
   Rng rng(1);
-  EXPECT_FALSE(SolveAnnealing(instance, objective, nullptr).ok());
+  EXPECT_FALSE(SolveAnnealing(instance, view, objective, nullptr).ok());
   AnnealingOptions bad;
   bad.cooling_factor = 1.5;
-  EXPECT_FALSE(SolveAnnealing(instance, objective, &rng, bad).ok());
+  EXPECT_FALSE(SolveAnnealing(instance, view, objective, &rng, bad).ok());
 }
 
 TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
@@ -214,15 +226,17 @@ TEST(AnnealingSolverTest, ReturnBestSeenNeverHurts) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 12, 0.5, 0.95, 0.05, 0.3), 0.4);
+    const WorkerPoolView view(instance.candidates);
     Rng rng_final(1000 + static_cast<std::uint64_t>(trial));
     Rng rng_best(1000 + static_cast<std::uint64_t>(trial));
     AnnealingOptions final_opts;
     const auto final_solution =
-        SolveAnnealing(instance, objective, &rng_final, final_opts).value();
+        SolveAnnealing(instance, view, objective, &rng_final, final_opts)
+            .value();
     AnnealingOptions best_opts;
     best_opts.return_best_seen = true;
     const auto best_solution =
-        SolveAnnealing(instance, objective, &rng_best, best_opts).value();
+        SolveAnnealing(instance, view, objective, &rng_best, best_opts).value();
     EXPECT_GE(best_solution.jq, final_solution.jq - 1e-12);
   }
 }
@@ -235,8 +249,9 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
       {"cheap1", 0.55, 0.20}, {"cheap2", 0.55, 0.20}, {"cheap3", 0.55, 0.20},
       {"expert", 0.97, 0.45}};
   const auto instance = MakeInstance(std::move(workers), 0.6);
+  const WorkerPoolView view(instance.candidates);
   const ExactBvObjective objective;
-  const auto optimal = SolveExhaustive(instance, objective).value();
+  const auto optimal = SolveExhaustive(instance, view, objective).value();
   ASSERT_NEAR(optimal.jq, 0.97, 0.01);  // the expert dominates
 
   int plain_hits = 0;
@@ -244,11 +259,12 @@ TEST(AnnealingSolverTest, RemovalMovesHelpEscapeStuckJuries) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng r1(seed), r2(seed);
     AnnealingOptions plain;
-    const auto s1 = SolveAnnealing(instance, objective, &r1, plain).value();
+    const auto s1 =
+        SolveAnnealing(instance, view, objective, &r1, plain).value();
     AnnealingOptions with_removals;
     with_removals.removal_probability = 0.25;
     const auto s2 =
-        SolveAnnealing(instance, objective, &r2, with_removals).value();
+        SolveAnnealing(instance, view, objective, &r2, with_removals).value();
     plain_hits += (s1.jq >= optimal.jq - 1e-9);
     removal_hits += (s2.jq >= optimal.jq - 1e-9);
     EXPECT_LE(s2.cost, instance.budget + 1e-12);
@@ -263,12 +279,13 @@ TEST(AnnealingSolverTest, RemovalsDisabledByDefaultMatchVerbatimAlg3) {
   Rng rng(6007);
   const auto instance =
       MakeInstance(RandomPool(&rng, 15, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const WorkerPoolView view(instance.candidates);
   const ExactBvObjective objective;
   Rng r1(99), r2(99);
-  const auto a = SolveAnnealing(instance, objective, &r1).value();
+  const auto a = SolveAnnealing(instance, view, objective, &r1).value();
   AnnealingOptions zero;
   zero.removal_probability = 0.0;
-  const auto b = SolveAnnealing(instance, objective, &r2, zero).value();
+  const auto b = SolveAnnealing(instance, view, objective, &r2, zero).value();
   EXPECT_EQ(a.selected, b.selected);
   EXPECT_DOUBLE_EQ(a.jq, b.jq);
 }
@@ -281,10 +298,11 @@ TEST(GreedySolverTest, RespectsBudget) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 10, 0.5, 0.95, 0.1, 1.0), rng.Uniform(0.3, 2.0));
+    const WorkerPoolView view(instance.candidates);
     for (const auto& solution :
-         {SolveGreedyByQuality(instance, objective).value(),
-          SolveGreedyByValuePerCost(instance, objective).value(),
-          SolveOddTopK(instance, objective).value()}) {
+         {SolveGreedyByQuality(instance, view, objective).value(),
+          SolveGreedyByValuePerCost(instance, view, objective).value(),
+          SolveOddTopK(instance, view, objective).value()}) {
       EXPECT_LE(solution.cost, instance.budget + 1e-12);
     }
   }
@@ -295,7 +313,8 @@ TEST(GreedySolverTest, OddTopKSelectsOddSizes) {
   const MajorityObjective objective;
   const auto instance =
       MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 1.0, 1.0), 6.0);
-  const auto solution = SolveOddTopK(instance, objective).value();
+  const WorkerPoolView view(instance.candidates);
+  const auto solution = SolveOddTopK(instance, view, objective).value();
   EXPECT_EQ(solution.selected.size() % 2, 1u);
 }
 
@@ -309,13 +328,16 @@ TEST(SystemComparisonTest, OptjsNeverLosesOnExpectation) {
   double optjs_total = 0.0;
   double mvjs_total = 0.0;
   const int trials = 20;
+  const BucketBvObjective bv;
+  const MajorityObjective mv;
   for (int trial = 0; trial < trials; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
-    const auto optjs = SolveOptjs(instance, &r1).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const auto optjs = SolveOptjs(instance, view, bv, &r1).value();
+    const auto mvjs = SolveMvjs(instance, view, mv, &r2).value();
     const double optjs_true_jq =
         ExactJqBv(optjs.ToJury(instance), instance.alpha).value();
     const double mvjs_true_jq =
@@ -337,12 +359,17 @@ TEST(SystemComparisonTest, OptjsExhaustiveDominatesMvjsPointwise) {
   for (int trial = 0; trial < 10; ++trial) {
     const auto instance = MakeInstance(
         RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const WorkerPoolView view(instance.candidates);
     Rng r1 = rng.Fork();
     Rng r2 = rng.Fork();
     OptjsOptions options;
     options.bucket.num_buckets = 400;
-    const auto optjs = SolveOptjs(instance, &r1, options).value();
-    const auto mvjs = SolveMvjs(instance, &r2).value();
+    const auto optjs =
+        SolveOptjs(instance, view, BucketBvObjective(options.bucket), &r1,
+                   options)
+            .value();
+    const auto mvjs =
+        SolveMvjs(instance, view, MajorityObjective(), &r2).value();
     const double optjs_true_jq =
         ExactJqBv(optjs.ToJury(instance), instance.alpha).value();
     const double mvjs_true_jq =
@@ -357,12 +384,15 @@ TEST(OptjsFacadeTest, SmallPoolsUseTheExactPath) {
   Rng rng(5107);
   const auto instance =
       MakeInstance(RandomPool(&rng, 9, 0.5, 0.95, 0.05, 0.4), 0.5);
+  const WorkerPoolView view(instance.candidates);
   OptjsOptions options;
   options.bucket.num_buckets = 400;
+  const BucketBvObjective objective(options.bucket);
   double first_jq = -1.0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     Rng solver_rng(seed);
-    const auto solution = SolveOptjs(instance, &solver_rng, options).value();
+    const auto solution =
+        SolveOptjs(instance, view, objective, &solver_rng, options).value();
     if (first_jq < 0.0) first_jq = solution.jq;
     EXPECT_NEAR(solution.jq, first_jq, 1e-12) << "seed " << seed;
   }
@@ -378,11 +408,14 @@ TEST(OptjsFacadeTest, GreedyFallbackRescuesStuckAnnealing) {
   }
   workers.emplace_back("expert", 0.97, 0.45);
   const auto instance = MakeInstance(std::move(workers), 0.6);
+  const WorkerPoolView view(instance.candidates);
   OptjsOptions options;
   options.exhaustive_threshold = 0;  // force the SA+fallback path
+  const BucketBvObjective objective(options.bucket);
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     Rng solver_rng(seed);
-    const auto solution = SolveOptjs(instance, &solver_rng, options).value();
+    const auto solution =
+        SolveOptjs(instance, view, objective, &solver_rng, options).value();
     EXPECT_GE(solution.jq, 0.97 - 0.01) << "seed " << seed;
   }
 }
@@ -411,6 +444,7 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 14, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
+    const WorkerPoolView view(instance.candidates);
     const std::uint64_t sa_seed = 5000 + static_cast<std::uint64_t>(inst);
     for (const JqObjective* objective :
          {static_cast<const JqObjective*>(&bucket),
@@ -419,29 +453,29 @@ TEST(IncrementalEquivalenceTest, AnnealingAndGreedyOnFiftyInstances) {
       full_opts.use_incremental = false;
       Rng r1(sa_seed), r2(sa_seed);
       const auto inc =
-          SolveAnnealing(instance, *objective, &r1, inc_opts).value();
+          SolveAnnealing(instance, view, *objective, &r1, inc_opts).value();
       const auto full =
-          SolveAnnealing(instance, *objective, &r2, full_opts).value();
+          SolveAnnealing(instance, view, *objective, &r2, full_opts).value();
       ExpectSameSolution(inc, full, instance,
                          "annealing/" + objective->name(), inst);
 
       GreedyOptions g_inc, g_full;
       g_full.use_incremental = false;
       ExpectSameSolution(
-          SolveGreedyMarginalGain(instance, *objective, g_inc).value(),
-          SolveGreedyMarginalGain(instance, *objective, g_full).value(),
+          SolveGreedyMarginalGain(instance, view, *objective, g_inc).value(),
+          SolveGreedyMarginalGain(instance, view, *objective, g_full).value(),
           instance, "marginal-gain/" + objective->name(), inst);
       ExpectSameSolution(
-          SolveOddTopK(instance, *objective, g_inc).value(),
-          SolveOddTopK(instance, *objective, g_full).value(), instance,
+          SolveOddTopK(instance, view, *objective, g_inc).value(),
+          SolveOddTopK(instance, view, *objective, g_full).value(), instance,
           "odd-top-k/" + objective->name(), inst);
       ExpectSameSolution(
-          SolveGreedyByQuality(instance, *objective, g_inc).value(),
-          SolveGreedyByQuality(instance, *objective, g_full).value(),
+          SolveGreedyByQuality(instance, view, *objective, g_inc).value(),
+          SolveGreedyByQuality(instance, view, *objective, g_full).value(),
           instance, "greedy-quality/" + objective->name(), inst);
       ExpectSameSolution(
-          SolveGreedyByValuePerCost(instance, *objective, g_inc).value(),
-          SolveGreedyByValuePerCost(instance, *objective, g_full).value(),
+          SolveGreedyByValuePerCost(instance, view, *objective, g_inc).value(),
+          SolveGreedyByValuePerCost(instance, view, *objective, g_full).value(),
           instance, "greedy-value/" + objective->name(), inst);
     }
   }
@@ -456,6 +490,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 10, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
+    const WorkerPoolView view(instance.candidates);
     ExhaustiveOptions ex_inc, ex_full;
     ex_full.use_incremental = false;
     for (const JqObjective* objective :
@@ -463,9 +498,9 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
           static_cast<const JqObjective*>(&exact),
           static_cast<const JqObjective*>(&majority)}) {
       ExpectSameSolution(
-          SolveExhaustive(instance, *objective, ex_inc).value(),
-          SolveExhaustive(instance, *objective, ex_full).value(), instance,
-          "exhaustive/" + objective->name(), inst);
+          SolveExhaustive(instance, view, *objective, ex_inc).value(),
+          SolveExhaustive(instance, view, *objective, ex_full).value(),
+          instance, "exhaustive/" + objective->name(), inst);
     }
     BranchBoundOptions bb_inc, bb_full;
     bb_full.use_incremental = false;
@@ -473,8 +508,8 @@ TEST(IncrementalEquivalenceTest, ExhaustiveAndBranchBound) {
          {static_cast<const JqObjective*>(&bucket),
           static_cast<const JqObjective*>(&exact)}) {
       ExpectSameSolution(
-          SolveBranchAndBound(instance, *objective, bb_inc).value(),
-          SolveBranchAndBound(instance, *objective, bb_full).value(),
+          SolveBranchAndBound(instance, view, *objective, bb_inc).value(),
+          SolveBranchAndBound(instance, view, *objective, bb_full).value(),
           instance, "branch-bound/" + objective->name(), inst);
     }
   }
@@ -488,6 +523,7 @@ TEST(IncrementalEquivalenceTest, ExhaustiveBreaksExactTiesIdentically) {
   std::vector<Worker> workers = {{"a", 0.7, 1.0}, {"b", 0.7, 1.0},
                                  {"c", 0.8, 1.5}, {"d", 0.7, 1.0}};
   const auto instance = MakeInstance(std::move(workers), 2.5);
+  const WorkerPoolView view(instance.candidates);
   ExhaustiveOptions inc, full;
   full.use_incremental = false;
   const MajorityObjective mv;  // non-monotone: no maximality filter
@@ -495,8 +531,8 @@ TEST(IncrementalEquivalenceTest, ExhaustiveBreaksExactTiesIdentically) {
   for (const JqObjective* objective :
        {static_cast<const JqObjective*>(&mv),
         static_cast<const JqObjective*>(&bv)}) {
-    const auto a = SolveExhaustive(instance, *objective, inc).value();
-    const auto b = SolveExhaustive(instance, *objective, full).value();
+    const auto a = SolveExhaustive(instance, view, *objective, inc).value();
+    const auto b = SolveExhaustive(instance, view, *objective, full).value();
     EXPECT_EQ(a.selected, b.selected) << objective->name();
     EXPECT_NEAR(a.jq, b.jq, 1e-12);
   }
@@ -509,18 +545,19 @@ TEST(IncrementalEquivalenceTest, SolversSpendFarFewerFullEvaluations) {
   Rng rng(90011);
   const auto instance = MakeInstance(
       RandomPool(&rng, 100, 0.4, 0.95, 0.05, 0.4), 1.0);
+  const WorkerPoolView view(instance.candidates);
   const BucketBvObjective objective;
 
   objective.ResetEvaluationCounters();
   Rng r1(7);
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &r1).ok());
+  ASSERT_TRUE(SolveAnnealing(instance, view, objective, &r1).ok());
   const EvaluationCounters with_sessions = objective.evaluation_counters();
 
   objective.ResetEvaluationCounters();
   AnnealingOptions no_inc;
   no_inc.use_incremental = false;
   Rng r2(7);
-  ASSERT_TRUE(SolveAnnealing(instance, objective, &r2, no_inc).ok());
+  ASSERT_TRUE(SolveAnnealing(instance, view, objective, &r2, no_inc).ok());
   const EvaluationCounters without = objective.evaluation_counters();
 
   EXPECT_EQ(without.incremental, 0u);
@@ -572,6 +609,7 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 12, 0.4, 0.95, 0.05, 0.4),
                      rng.Uniform(0.3, 1.0));
+    const WorkerPoolView view(instance.candidates);
     const std::uint64_t seed = 8800 + static_cast<std::uint64_t>(inst);
 
     JspSolution ref_sa, ref_greedy, ref_exhaustive, ref_mv_greedy;
@@ -583,15 +621,15 @@ TEST(ThreadDeterminismTest, AllParallelSolversAcrossThreadCounts) {
       sa_opts.num_restarts = 4;
       Rng sa_rng(seed);
       const auto sa =
-          SolveAnnealing(instance, bucket, &sa_rng, sa_opts).value();
+          SolveAnnealing(instance, view, bucket, &sa_rng, sa_opts).value();
       // Greedy marginal-gain: sharded candidate scan, both objectives.
       const auto greedy =
-          SolveGreedyMarginalGain(instance, bucket, {}).value();
+          SolveGreedyMarginalGain(instance, view, bucket, {}).value();
       const auto mv_greedy =
-          SolveGreedyMarginalGain(instance, majority, {}).value();
+          SolveGreedyMarginalGain(instance, view, majority, {}).value();
       // Exhaustive: partitioned Gray-code sweep.
       const auto exhaustive =
-          SolveExhaustive(instance, bucket, {}).value();
+          SolveExhaustive(instance, view, bucket, {}).value();
 
       if (!have_ref) {
         ref_sa = sa;
@@ -650,12 +688,13 @@ TEST(ThreadDeterminismTest, MultiRestartNeverLosesToSingleChainBadly) {
   for (int inst = 0; inst < 10; ++inst) {
     const auto instance =
         MakeInstance(RandomPool(&rng, 16, 0.4, 0.95, 0.05, 0.4), 0.5);
+    const WorkerPoolView view(instance.candidates);
     Rng r1(42), r2(42);
     AnnealingOptions single;
-    const auto s = SolveAnnealing(instance, bucket, &r1, single).value();
+    const auto s = SolveAnnealing(instance, view, bucket, &r1, single).value();
     AnnealingOptions multi;
     multi.num_restarts = 4;
-    const auto m = SolveAnnealing(instance, bucket, &r2, multi).value();
+    const auto m = SolveAnnealing(instance, view, bucket, &r2, multi).value();
     single_total += s.jq;
     multi_total += m.jq;
     EXPECT_LE(m.cost, instance.budget + 1e-12);
@@ -668,11 +707,13 @@ TEST(ThreadDeterminismTest, MultiRestartStatsAggregateAllChains) {
   const BucketBvObjective bucket;
   const auto instance =
       MakeInstance(RandomPool(&rng, 20, 0.5, 0.95, 0.05, 0.3), 0.5);
+  const WorkerPoolView view(instance.candidates);
   Rng sa_rng(17);
   AnnealingOptions opts;
   opts.num_restarts = 3;
   AnnealingStats stats;
-  ASSERT_TRUE(SolveAnnealing(instance, bucket, &sa_rng, opts, &stats).ok());
+  ASSERT_TRUE(
+      SolveAnnealing(instance, view, bucket, &sa_rng, opts, &stats).ok());
   // Each chain runs 27 temperature levels of 20 moves (see
   // AnnealingSolverTest.StatsAreConsistent); the aggregate is 3x that.
   EXPECT_EQ(stats.temperature_levels, 3u * 27u);
@@ -685,8 +726,10 @@ TEST(MvjsTest, ReportsExactMajorityJq) {
   Rng rng(5103);
   const auto instance =
       MakeInstance(RandomPool(&rng, 10, 0.5, 0.95, 0.05, 0.4), 0.5);
+  const WorkerPoolView view(instance.candidates);
   Rng solver_rng(9);
-  const auto solution = SolveMvjs(instance, &solver_rng).value();
+  const auto solution =
+      SolveMvjs(instance, view, MajorityObjective(), &solver_rng).value();
   if (!solution.selected.empty()) {
     EXPECT_NEAR(
         solution.jq,
