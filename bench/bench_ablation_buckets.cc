@@ -1,5 +1,5 @@
 // E17 — ablation: the §4.4 error bound vs measured error across bucket
-// counts, and dense-vs-sparse backend timing. This is the design-choice
+// counts, and the DP's time per evaluation. This is the design-choice
 // study DESIGN.md calls out for Algorithm 1.
 
 #include <cmath>
@@ -51,10 +51,9 @@ void BoundTightness(int reps) {
                "observed.\n";
 }
 
-void BackendTiming(int reps) {
-  std::cout << "\n--- Dense vs sparse backend (seconds per JQ evaluation) "
-               "---\n";
-  Table table({"n", "dense", "sparse", "sparse+noprune"});
+void DpTiming(int reps) {
+  std::cout << "\n--- Seconds per JQ evaluation (50 buckets) ---\n";
+  Table table({"n", "seconds"});
   for (int n : {50, 100, 200, 400}) {
     Rng rng(static_cast<std::uint64_t>(n) * 13 + 3);
     std::vector<double> qs;
@@ -63,31 +62,21 @@ void BackendTiming(int reps) {
                                          0.99));
     }
     const Jury jury = Jury::FromQualities(qs);
-    auto time_it = [&](const BucketJqOptions& options) {
-      Timer timer;
-      for (int rep = 0; rep < reps; ++rep) {
-        (void)EstimateJq(jury, 0.5, options).value();
-      }
-      return timer.ElapsedSeconds() / reps;
-    };
-    BucketJqOptions dense;
-    dense.backend = BucketBackend::kDense;
-    BucketJqOptions sparse;
-    sparse.backend = BucketBackend::kSparse;
-    BucketJqOptions noprune = sparse;
-    noprune.enable_pruning = false;
-    table.AddRow({std::to_string(n), Format(time_it(dense), 5),
-                  Format(time_it(sparse), 5), Format(time_it(noprune), 5)});
+    Timer timer;
+    for (int rep = 0; rep < reps; ++rep) {
+      (void)EstimateJq(jury, 0.5).value();
+    }
+    table.AddRow({std::to_string(n), Format(timer.ElapsedSeconds() / reps, 5)});
   }
   std::cout << table.ToString();
 }
 
 void Run() {
   const int reps = static_cast<int>(bench::Reps(100));
-  bench::PrintHeader("Ablation — bucket count, error bound, and backend",
+  bench::PrintHeader("Ablation — bucket count, error bound, and DP time",
                      "Design-choice study for Algorithm 1 (DESIGN.md E17).");
   BoundTightness(reps);
-  BackendTiming(std::max(1, reps / 10));
+  DpTiming(std::max(1, reps / 10));
 }
 
 }  // namespace

@@ -99,8 +99,7 @@ void Fig9d(int reps) {
     OnlineStats with_time, without_time;
     for (int rep = 0; rep < reps; ++rep) {
       const Jury jury = SampleJury(&rng, n, 0.7, 0.22360679774997896);
-      BucketJqOptions pruned;
-      pruned.backend = BucketBackend::kSparse;
+      const BucketJqOptions pruned;
       BucketJqOptions unpruned = pruned;
       unpruned.enable_pruning = false;
       Timer t1;

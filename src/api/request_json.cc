@@ -126,17 +126,6 @@ Status BindBucket(const Json& doc, const std::string& path,
       JURY_RETURN_NOT_OK(GetIntField(value, field, &out->num_buckets));
     } else if (key == "enable_pruning") {
       JURY_RETURN_NOT_OK(GetBoolField(value, field, &out->enable_pruning));
-    } else if (key == "backend") {
-      std::string backend;
-      JURY_RETURN_NOT_OK(GetStringField(value, field, &backend));
-      if (backend == "dense") {
-        out->backend = BucketBackend::kDense;
-      } else if (backend == "sparse") {
-        out->backend = BucketBackend::kSparse;
-      } else {
-        return Status::InvalidArgument(field +
-                                       " must be \"dense\" or \"sparse\"");
-      }
     } else if (key == "high_quality_cutoff") {
       JURY_RETURN_NOT_OK(
           GetDoubleField(value, field, &out->high_quality_cutoff));
@@ -315,8 +304,6 @@ Status BindTuning(const Json& doc, const std::string& path,
 
 Json BucketToJson(const BucketJqOptions& options) {
   return Json::Object()
-      .Set("backend",
-           options.backend == BucketBackend::kDense ? "dense" : "sparse")
       .Set("enable_pruning", options.enable_pruning)
       .Set("high_quality_cutoff", options.high_quality_cutoff)
       .Set("num_buckets", options.num_buckets);

@@ -450,8 +450,9 @@ class IncrementalBucketBvEvaluator final : public IncrementalJqEvaluator {
     }
   }
 
-  /// Key-span guard: past this the dense delta state would be larger than
-  /// the one-shot estimator's own dense limit; score via `EstimateJq`.
+  /// Key-span guard: past this the delta state's 2·span+1 doubles would
+  /// pass 2^23 (64 MiB), the per-buffer ceiling `EstimateJq` keeps; score
+  /// via `EstimateJq`, whose buffers hold only the live key window.
   static constexpr std::int64_t kMaxIncrementalSpan = std::int64_t{1} << 22;
 
  protected:

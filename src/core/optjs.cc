@@ -13,9 +13,10 @@ namespace {
 /// Re-evaluates a solution's jury with a per-worker bucket multiplier of
 /// 200, which the §4.4 analysis proves keeps the JQ estimate within 1% (in
 /// practice far closer). The *search* may run on the coarse default (the
-/// paper's numBuckets = 50); the *reported* quality should not. A failing
-/// re-estimate (a key-map cap under an adversarial bucket count) is a
-/// `Status` the caller propagates — never an abort mid-solve.
+/// paper's numBuckets = 50); the *reported* quality should not. A grid
+/// too fine for the DP's per-buffer ceiling is coarsened inside
+/// `EstimateJq`, not refused, so the re-estimate fails only on an invalid
+/// jury or alpha: a `Status` the caller propagates, never an abort.
 ///
 /// This is the cold solve's dominant cost. The dense DP visits, per
 /// worker, only the live key window (keys within ± the not-yet-folded

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "jq/prior_transform.h"
@@ -42,9 +41,9 @@ struct BucketedWorker {
   double quality = 0.5;
 };
 
-/// Threshold above which the dense backend would allocate an unreasonable
-/// array; we fall back to the sparse backend instead.
-constexpr std::int64_t kDenseKeySpanLimit = 1 << 24;
+/// Per-buffer ceiling of the Algorithm-1 DP: 2^23 doubles (64 MiB). A
+/// grid whose window would pass it is coarsened until it fits.
+constexpr std::int64_t kMaxWindowSlots = std::int64_t{1} << 23;
 
 /// Accumulates the final sweep (steps 21-25 of Algorithm 1): probability at
 /// positive keys counts fully, probability at key zero counts half (the
@@ -91,7 +90,7 @@ void ConvolveWindow(const double* __restrict src, std::int64_t live,
   for (std::int64_t j = upper; j < live + b; ++j) out[j] = src[j - b] * q;
 }
 
-/// One Algorithm-1 pass over the dense (flat array) key representation.
+/// The Algorithm-1 pass (with Algorithm 2 when `pruning` is on).
 ///
 /// Every key reachable after folding workers 0..i-1 has the parity of
 /// their bucket sum, so the state stores one parity only: `cur[j]` is the
@@ -105,12 +104,12 @@ void ConvolveWindow(const double* __restrict src, std::int64_t live,
 /// result, `keys_expanded` and `keys_pruned` are bit for bit those of the
 /// full-array sweep.
 double RunDense(const std::vector<BucketedWorker>& ws,
-                const std::vector<std::int64_t>& aggregate, bool pruning,
-                BucketJqStats* stats) {
-  // A window holds at most span + 1 keys of one parity (span = the sum of
-  // all buckets). The buffers stay uninitialised: each step writes its
-  // whole output window, and only the current window is ever read.
-  const auto size = static_cast<std::size_t>(aggregate.front() + 1);
+                const std::vector<std::int64_t>& aggregate, std::int64_t slots,
+                bool pruning, BucketJqStats* stats) {
+  // `slots` is `MaxWindowSlots`: no window the sweep writes is longer. The
+  // buffers stay uninitialised: each step writes its whole output window,
+  // and only the current window is ever read.
+  const auto size = static_cast<std::size_t>(slots);
   auto cur = std::make_unique_for_overwrite<double[]>(size);
   auto nxt = std::make_unique_for_overwrite<double[]>(size);
   cur[0] = 1.0;
@@ -144,6 +143,7 @@ double RunDense(const std::vector<BucketedWorker>& ws,
       len = 0;
       break;
     }
+    JURY_CHECK_LE(live + b, slots);
     ConvolveWindow(cur.get() + first, live, b, ws[i].quality, nxt.get());
     lo += 2 * first - b;
     len = live + b;
@@ -153,41 +153,53 @@ double RunDense(const std::vector<BucketedWorker>& ws,
   return acc.value();
 }
 
-/// One Algorithm-1 pass over the sparse (hash map) key representation.
-double RunSparse(const std::vector<BucketedWorker>& ws,
-                 const std::vector<std::int64_t>& aggregate, bool pruning,
-                 BucketJqStats* stats) {
-  std::unordered_map<std::int64_t, double> cur;
-  std::unordered_map<std::int64_t, double> nxt;
-  cur.emplace(0, 1.0);
-
-  JqAccumulator acc;
-  for (std::size_t i = 0; i < ws.size(); ++i) {
-    nxt.clear();
-    nxt.reserve(cur.size() * 2);
-    const std::int64_t b = ws[i].bucket;
-    const double q = ws[i].quality;
-    const std::int64_t remaining = aggregate[i];
-    for (const auto& [key, prob] : cur) {
-      if (stats != nullptr) ++stats->keys_expanded;
-      if (pruning) {
-        if (key > 0 && key - remaining > 0) {
-          acc.AddSettledPositive(prob);
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
-        }
-        if (key < 0 && key + remaining < 0) {
-          if (stats != nullptr) ++stats->keys_pruned;
-          continue;
-        }
-      }
-      nxt[key + b] += prob * q;          // v_i = 0
-      nxt[key - b] += prob * (1.0 - q);  // v_i = 1
-    }
-    cur.swap(nxt);
+/// Buckets every worker on the grid of width `delta` (GetBucketArray:
+/// b_i = ceil(phi_i/delta - 1/2), the nearest bucket), sorted in
+/// decreasing bucket order (steps 2-3 of Algorithm 1) so pruning sees
+/// the big contributors first.
+std::vector<BucketedWorker> BucketWorkers(const std::vector<double>& qs,
+                                          const std::vector<double>& phis,
+                                          double delta) {
+  std::vector<BucketedWorker> ws(qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    ws[i].bucket =
+        static_cast<std::int64_t>(std::ceil(phis[i] / delta - 0.5));
+    ws[i].quality = qs[i];
   }
-  for (const auto& [key, prob] : cur) acc.AddFinal(key, prob);
-  return acc.value();
+  std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
+    return a.bucket > b.bucket;
+  });
+  return ws;
+}
+
+/// AggregateBucket: aggregate[i] = b[i] + b[i+1] + ... + b[n-1].
+std::vector<std::int64_t> AggregateBuckets(
+    const std::vector<BucketedWorker>& ws) {
+  std::vector<std::int64_t> aggregate(ws.size(), 0);
+  std::int64_t suffix = 0;
+  for (std::size_t i = ws.size(); i > 0; --i) {
+    suffix += ws[i - 1].bucket;
+    aggregate[i - 1] = suffix;
+  }
+  return aggregate;
+}
+
+/// The longest window `RunDense` writes. Before step i the window holds
+/// at most P_i + 1 keys (P_i = b_0 + ... + b_{i-1}, one parity), of which
+/// pruning keeps at most aggregate[i] + 1 live, and the step lengthens the
+/// live run by b_i: at most min(P_i, aggregate[i]) + b_i + 1 slots, or
+/// P_i + b_i + 1 without pruning (span + 1 at the last step).
+std::int64_t MaxWindowSlots(const std::vector<BucketedWorker>& ws,
+                            const std::vector<std::int64_t>& aggregate,
+                            bool pruning) {
+  std::int64_t most = 1;  // the initial point mass at key 0
+  std::int64_t prefix = 0;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    const std::int64_t live = pruning ? std::min(prefix, aggregate[i]) : prefix;
+    most = std::max(most, live + ws[i].bucket + 1);
+    prefix += ws[i].bucket;
+  }
+  return most;
 }
 
 }  // namespace
@@ -359,42 +371,35 @@ Result<double> EstimateJq(const Jury& jury, double alpha,
     // votings, so JQ = 0.5 exactly.
     return 0.5;
   }
-  const double delta = upper / static_cast<double>(options.num_buckets);
-
-  std::vector<BucketedWorker> ws(qs.size());
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    ws[i].bucket =
-        static_cast<std::int64_t>(std::ceil(phis[i] / delta - 0.5));
-    ws[i].quality = qs[i];
+  // Past the per-buffer ceiling, coarsen the grid until the window fits:
+  // the window grows about linearly with the bucket count, and the §4.4
+  // lower bound holds at any delta (`stats` reports the delta used). At
+  // one bucket the window is at most n + 1 slots, so only a jury of 2^23
+  // or more workers can still pass the ceiling.
+  int num_buckets = options.num_buckets;
+  double delta = 0.0;
+  std::vector<BucketedWorker> ws;
+  std::vector<std::int64_t> aggregate;
+  std::int64_t slots = 0;
+  while (true) {
+    delta = upper / static_cast<double>(num_buckets);
+    ws = BucketWorkers(qs, phis, delta);
+    aggregate = AggregateBuckets(ws);
+    slots = MaxWindowSlots(ws, aggregate, options.enable_pruning);
+    if (slots <= kMaxWindowSlots || num_buckets == 1) break;
+    const double shrink = static_cast<double>(kMaxWindowSlots) / slots;
+    num_buckets = std::clamp(static_cast<int>(num_buckets * shrink), 1,
+                             num_buckets - 1);
   }
-  // Sort in decreasing bucket order (steps 2-3 of Algorithm 1) so pruning
-  // sees the big contributors first.
-  std::sort(ws.begin(), ws.end(), [](const auto& a, const auto& b) {
-    return a.bucket > b.bucket;
-  });
-
-  // AggregateBucket: aggregate[i] = b[i] + b[i+1] + ... + b[n-1].
-  std::vector<std::int64_t> aggregate(ws.size(), 0);
-  std::int64_t suffix = 0;
-  for (std::size_t i = ws.size(); i > 0; --i) {
-    suffix += ws[i - 1].bucket;
-    aggregate[i - 1] = suffix;
-  }
-  const std::int64_t span = suffix;
 
   if (stats != nullptr) {
     stats->delta = delta;
     stats->error_bound = BucketErrorBound(n, delta);
+    stats->window_slots = slots;
   }
 
-  BucketBackend backend = options.backend;
-  if (backend == BucketBackend::kDense && 2 * span + 1 > kDenseKeySpanLimit) {
-    backend = BucketBackend::kSparse;  // avoid an oversized flat array
-  }
   const double jq_hat =
-      backend == BucketBackend::kDense
-          ? RunDense(ws, aggregate, options.enable_pruning, stats)
-          : RunSparse(ws, aggregate, options.enable_pruning, stats);
+      RunDense(ws, aggregate, slots, options.enable_pruning, stats);
   // Guard against floating-point drift just above 1.
   return std::min(jq_hat, 1.0);
 }

@@ -10,16 +10,6 @@
 
 namespace jury {
 
-/// \brief Backend for the Algorithm-1 key map.
-enum class BucketBackend {
-  /// Flat array indexed by key + offset. Fastest at the paper's default
-  /// bucket counts; memory O(sum of buckets).
-  kDense,
-  /// Hash map keyed by the integer bucket key. Pays off when pruning keeps
-  /// the reachable key set sparse (large n, aggressive budgets).
-  kSparse,
-};
-
 /// \brief Tuning knobs for `EstimateJq` (Algorithm 1 + Algorithm 2).
 struct BucketJqOptions {
   /// Total number of buckets the range [0, max phi(q_i)] is divided into
@@ -35,8 +25,6 @@ struct BucketJqOptions {
   /// Enables the Algorithm-2 sign-settled early termination.
   bool enable_pruning = true;
 
-  BucketBackend backend = BucketBackend::kDense;
-
   /// §4.4 escape hatch: when some normalized quality exceeds this cutoff,
   /// phi(q) is huge and JQ in (cutoff, 1], so `EstimateJq` just returns the
   /// max such quality. Set to 1.0 to disable (then qualities are clamped by
@@ -51,7 +39,9 @@ struct BucketJqOptions {
 
 /// \brief Instrumentation filled in by `EstimateJq`.
 struct BucketJqStats {
-  /// Bucket width delta = upper / num_buckets.
+  /// Bucket width delta = upper / num_buckets, for the bucket count the
+  /// DP ran at (coarser than requested when the grid passed the buffer
+  /// ceiling; see `EstimateJq`).
   double delta = 0.0;
   /// Additive error bound e^{n*delta/4} - 1 for this run (§4.4);
   /// 0 when the high-quality escape hatch fired.
@@ -60,6 +50,9 @@ struct BucketJqStats {
   std::size_t keys_expanded = 0;
   /// Pairs settled early by pruning (both signs).
   std::size_t keys_pruned = 0;
+  /// Length, in doubles, of each of the DP's two window buffers: the
+  /// longest window the sweep writes, at most 2^23.
+  std::int64_t window_slots = 0;
   /// True when the high-quality escape hatch was taken.
   bool high_quality_shortcut = false;
 };
@@ -76,6 +69,13 @@ struct BucketJqStats {
 ///     statistic `key = sum +-b_i` to the aggregated probability
 ///     `sum e^{u(V)}` over votings reaching that key (Eq. 7).
 ///  5. JQ-hat = sum over keys>0 of prob + half the prob at key 0.
+///
+/// The map is one flat array per step, holding only the live key window
+/// (one parity, keys within ± the not-yet-folded bucket sum). Its two
+/// buffers are sized by the longest window the sweep will write, computed
+/// from the sorted buckets, and capped at 2^23 doubles (64 MiB) each: a
+/// grid whose window would pass the cap is coarsened to fewer buckets
+/// until it fits, and `stats` reports the coarser delta and error bound.
 ///
 /// Guarantees (proved in the paper, §4.4, and property-tested here):
 ///   JQ-hat <= JQ(J, BV, alpha)   and   JQ - JQ-hat < e^{n*delta/4} - 1.

@@ -17,6 +17,7 @@
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -761,6 +762,28 @@ TEST(RequestJsonTest, StrictBindingErrors) {
   auto ok = SolveRequest::FromJsonText(R"({"solver":"greedy-quality"})");
   ASSERT_TRUE(ok.ok()) << ok.status();
   EXPECT_EQ(ok.value().solver, "greedy-quality");
+}
+
+TEST(RequestJsonTest, BucketBlockRejectsBackendKey) {
+  // The bucket DP has one implementation; naming a backend is an unknown
+  // key wherever a bucket block appears.
+  const std::pair<std::string_view, std::string_view> cases[] = {
+      {R"({"tuning":{"bucket":{"backend":"sparse"}}})",
+       R"(request.tuning.bucket: unknown key "backend")"},
+      {R"({"tuning":{"bucket":{"backend":"dense"}}})",
+       R"(request.tuning.bucket: unknown key "backend")"},
+      {R"({"tuning":{"optjs":{"bucket":{"backend":"sparse"}}}})",
+       R"(request.tuning.optjs.bucket: unknown key "backend")"},
+      {R"({"tuning":{"optjs":{"bucket":{"backend":"dense"}}}})",
+       R"(request.tuning.optjs.bucket: unknown key "backend")"},
+  };
+  for (const auto& [text, message] : cases) {
+    auto parsed = SolveRequest::FromJsonText(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(message), std::string::npos)
+        << "status was: " << parsed.status() << " for " << text;
+  }
 }
 
 // ------------------------------------------------- process-wide counters

@@ -120,7 +120,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.3, 0.5, 0.8),
                        ::testing::Values(1, 2)));
 
-/// Pruning and backend choice are pure optimizations: results identical.
+/// Pruning is a pure optimization: results identical.
 class BucketEquivalenceTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
@@ -136,34 +136,23 @@ TEST_P(BucketEquivalenceTest, PruningDoesNotChangeTheEstimate) {
               EstimateJq(jury, 0.5, without).value(), 1e-10);
 }
 
-TEST_P(BucketEquivalenceTest, DenseAndSparseBackendsAgree) {
-  const auto [n, seed] = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed) * 1299709 +
-          static_cast<std::uint64_t>(n));
-  const Jury jury = RandomJury(&rng, n, 0.5, 0.97);
-  BucketJqOptions dense = {};
-  dense.backend = BucketBackend::kDense;
-  BucketJqOptions sparse = {};
-  sparse.backend = BucketBackend::kSparse;
-  EXPECT_NEAR(EstimateJq(jury, 0.5, dense).value(),
-              EstimateJq(jury, 0.5, sparse).value(), 1e-10);
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BucketEquivalenceTest,
     ::testing::Combine(::testing::Values(1, 2, 4, 7, 11, 15),
                        ::testing::Values(1, 2, 3)));
 
-// ------------------------------------ Dense backend vs full-array sweep
+// ------------------------------------- Windowed DP vs full-array sweep
 
 struct ReferenceRun {
   double jq = 0.0;
   BucketJqStats stats;
+  /// Sum of all buckets: the full array holds 2·span+1 keys.
+  std::int64_t span = 0;
   /// Pruning settled every key before the last worker was folded in.
   bool settled_early = false;
 };
 
-/// The dense Algorithm-1 pass as a plain full-array sweep: every
+/// The Algorithm-1 pass as a plain full-array sweep: every
 /// iteration clears and visits all 2·span+1 keys, in ascending order. The
 /// oracle `EstimateJq`'s windowed pass must match bit for bit. Mirrors
 /// `EstimateJq`'s preprocessing except the §4.4 high-quality shortcut,
@@ -205,6 +194,7 @@ ReferenceRun FullSweepReference(const Jury& jury, double alpha,
     span += ws[i - 1].bucket;
     aggregate[i - 1] = span;
   }
+  run.span = span;
 
   const auto size = static_cast<std::size_t>(2 * span + 1);
   std::vector<double> cur(size, 0.0);
@@ -292,7 +282,6 @@ TEST(BucketJqBitIdentityTest, DenseMatchesFullArraySweep) {
           BucketJqOptions options;
           options.num_buckets = num_buckets;
           options.enable_pruning = pruning;
-          options.backend = BucketBackend::kDense;
           BucketJqStats stats;
           const double jq = EstimateJq(jury, alpha, options, &stats).value();
           const ReferenceRun want = FullSweepReference(jury, alpha, options);
@@ -315,6 +304,53 @@ TEST(BucketJqBitIdentityTest, DenseMatchesFullArraySweep) {
   // The shapes must actually reach the window's edge cases.
   EXPECT_GE(settled_early, 20);
   EXPECT_GE(all_half, 1);
+}
+
+TEST(BucketJqBitIdentityTest, KeySpanPastTwoToTheTwentyThree) {
+  // Twelve strong workers at a million buckets: every bucket is near the
+  // maximum, so the full array would hold 2·span+1 > 2^24 keys. The
+  // windowed DP still runs at the requested grid, bit for bit.
+  Rng rng(4242);
+  std::vector<double> qs;
+  for (int i = 0; i < 12; ++i) qs.push_back(rng.Uniform(0.9, 0.95));
+  const Jury jury = Jury::FromQualities(qs);
+  BucketJqOptions options;
+  options.num_buckets = BucketJqOptions::kMaxBuckets;
+  BucketJqStats stats;
+  const double jq = EstimateJq(jury, 0.5, options, &stats).value();
+  const ReferenceRun want = FullSweepReference(jury, 0.5, options);
+  ASSERT_GT(want.span, std::int64_t{1} << 23);
+  EXPECT_TRUE(SameBits(jq, want.jq)) << jq << " vs " << want.jq;
+  EXPECT_TRUE(SameBits(stats.delta, want.stats.delta));
+  EXPECT_EQ(stats.keys_expanded, want.stats.keys_expanded);
+  EXPECT_LE(stats.window_slots, want.span + 1);
+  const double exact = ExactJqBv(jury, 0.5).value();
+  EXPECT_LE(jq, exact + 1e-12);
+  EXPECT_LE(exact - jq, stats.error_bound);
+}
+
+TEST(BucketJqTest, WindowPastTheCeilingCoarsensTheGrid) {
+  // Eighty workers at a million buckets: the longest window would pass
+  // 2^23 slots, so the DP runs on a coarser grid and says so in `delta`.
+  Rng rng(4243);
+  const Jury jury = RandomJury(&rng, 80, 0.55, 0.95);
+  BucketJqOptions one_bucket;
+  one_bucket.num_buckets = 1;
+  BucketJqStats upper;  // delta at one bucket is max phi itself
+  ASSERT_TRUE(EstimateJq(jury, 0.5, one_bucket, &upper).ok());
+
+  BucketJqOptions options;
+  options.num_buckets = BucketJqOptions::kMaxBuckets;
+  BucketJqStats stats;
+  const double estimate = EstimateJq(jury, 0.5, options, &stats).value();
+  EXPECT_LE(stats.window_slots, std::int64_t{1} << 23);
+  EXPECT_GT(stats.delta, 1.5 * upper.delta / options.num_buckets);
+  EXPECT_TRUE(SameBits(stats.error_bound, BucketErrorBound(80, stats.delta)));
+
+  auto bv = MakeStrategy("BV").value();
+  Rng mc_rng(4244);
+  const double mc = MonteCarloJq(jury, *bv, 0.5, 100000, &mc_rng).value();
+  EXPECT_NEAR(estimate, mc, 0.02);
 }
 
 TEST(BucketJqTest, ErrorShrinksWithMoreBuckets) {
@@ -377,7 +413,6 @@ TEST(BucketJqTest, PruningReducesWork) {
   Rng rng(109);
   const Jury jury = RandomJury(&rng, 60, 0.55, 0.95);
   BucketJqOptions pruned;
-  pruned.backend = BucketBackend::kSparse;
   BucketJqOptions unpruned = pruned;
   unpruned.enable_pruning = false;
   BucketJqStats with_stats, without_stats;
