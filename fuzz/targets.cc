@@ -11,6 +11,7 @@
 #include "core/annealing.h"
 #include "model/pool_snapshot.h"
 #include "model/worker.h"
+#include "serve/http.h"
 #include "util/check.h"
 #include "util/json.h"
 #include "util/result.h"
@@ -48,6 +49,56 @@ void ClampAnnealing(AnnealingOptions* annealing) {
     annealing->max_polish_moves =
         std::min<std::size_t>(annealing->max_polish_moves, 64);
   }
+}
+
+/// What a connection's parser made of a byte stream: the requests it
+/// completed, in order, and the state it stopped in.
+struct HttpOutcome {
+  std::vector<serve::HttpRequest> requests;
+  serve::HttpParser::State state = serve::HttpParser::State::kHeaders;
+  int error_status = 0;
+  std::string error_reason;
+};
+
+bool SameRequest(const serve::HttpRequest& a, const serve::HttpRequest& b) {
+  return a.method == b.method && a.target == b.target &&
+         a.version == b.version && a.headers == b.headers && a.body == b.body;
+}
+
+/// Feeds `stream` to one parser in chunks of `chunk_a`, `chunk_b`,
+/// `chunk_a`, ... bytes, the way `JuryServer` drains a connection: feed
+/// the unconsumed input, take a completed request and `Reset()`, stop at
+/// the first error. Limits are small so that 431 and 413 are reachable
+/// from short inputs.
+HttpOutcome ParseHttpStream(std::string_view stream, std::size_t chunk_a,
+                            std::size_t chunk_b) {
+  serve::HttpParser parser(serve::HttpLimits{256, 512});
+  HttpOutcome outcome;
+  std::string input;
+  bool use_a = true;
+  for (std::size_t offset = 0; offset < stream.size() && !parser.failed();) {
+    const std::size_t chunk = std::min(use_a ? chunk_a : chunk_b,
+                                       stream.size() - offset);
+    use_a = !use_a;
+    input.append(stream.substr(offset, chunk));
+    offset += chunk;
+    while (!input.empty()) {
+      const std::size_t consumed = parser.Feed(input);
+      JURY_CHECK(consumed <= input.size())
+          << "Feed consumed " << consumed << " of " << input.size();
+      JURY_CHECK(consumed == input.size() || parser.complete() ||
+                 parser.failed())
+          << "Feed stopped early in a non-final state";
+      input.erase(0, consumed);
+      if (!parser.complete()) break;
+      outcome.requests.push_back(parser.request());
+      parser.Reset();
+    }
+  }
+  outcome.state = parser.state();
+  outcome.error_status = parser.failed() ? parser.error_status() : 0;
+  outcome.error_reason = parser.failed() ? parser.error_reason() : "";
+  return outcome;
 }
 
 void ClampRequest(SolveRequest* request) {
@@ -142,6 +193,31 @@ void FuzzPoolSnapshot(const std::uint8_t* data, std::size_t size) {
   Result<SolveReport> report = planned.value().Solve(request);
   JURY_CHECK(report.ok()) << "greedy solve failed on a validated pool: "
                           << report.status().ToString();
+}
+
+void FuzzHttp(const std::uint8_t* data, std::size_t size) {
+  if (size == 0) return;
+  const std::string_view stream(reinterpret_cast<const char*>(data) + 1,
+                                size - 1);
+  const HttpOutcome whole = ParseHttpStream(stream, stream.size() + 1, 1);
+  // Chunk sizes 1..16 from the two nibbles of the first byte (0 feeds one
+  // byte at a time).
+  const HttpOutcome split =
+      ParseHttpStream(stream, (data[0] & 0x0f) + 1u, (data[0] >> 4) + 1u);
+  JURY_CHECK(split.state == whole.state)
+      << "state differs: " << static_cast<int>(split.state) << " vs "
+      << static_cast<int>(whole.state);
+  JURY_CHECK(split.error_status == whole.error_status &&
+             split.error_reason == whole.error_reason)
+      << "error differs: " << split.error_status << " " << split.error_reason
+      << " vs " << whole.error_status << " " << whole.error_reason;
+  JURY_CHECK(split.requests.size() == whole.requests.size())
+      << split.requests.size() << " vs " << whole.requests.size()
+      << " requests";
+  for (std::size_t i = 0; i < whole.requests.size(); ++i) {
+    JURY_CHECK(SameRequest(split.requests[i], whole.requests[i]))
+        << "request " << i << " differs";
+  }
 }
 
 }  // namespace jury::fuzz

@@ -39,6 +39,15 @@ void FuzzSolveRequest(const std::uint8_t* data, std::size_t size);
 /// `PoolPlanContext::Plan` -> a solve when the pool validates.
 void FuzzPoolSnapshot(const std::uint8_t* data, std::size_t size);
 
+/// Bytes -> `serve::HttpParser`, as a keep-alive connection reads them:
+/// completed requests are taken and the parser `Reset()` for the bytes
+/// after them (pipelining). The first byte picks chunk sizes; the rest is
+/// the wire stream, fed once in one piece and once in those chunks.
+/// Asserts split-invariance (the same requests, final state and error
+/// either way) and that `Feed` consumes no more than it was given, and
+/// all of it unless a request completed or failed.
+void FuzzHttp(const std::uint8_t* data, std::size_t size);
+
 }  // namespace jury::fuzz
 
 #endif  // JURYOPT_FUZZ_TARGETS_H_

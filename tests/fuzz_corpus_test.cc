@@ -74,5 +74,7 @@ TEST(FuzzCorpus, PoolSnapshotSeedsReplayClean) {
   ReplayCorpus("pool_snapshot", fuzz::FuzzPoolSnapshot);
 }
 
+TEST(FuzzCorpus, HttpSeedsReplayClean) { ReplayCorpus("http", fuzz::FuzzHttp); }
+
 }  // namespace
 }  // namespace jury
